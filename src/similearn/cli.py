@@ -18,17 +18,15 @@ import json
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from . import __version__
 from .errors import DataFormatError, DegenerateKernelError, DivergenceError, LinearSolveError
 from .graph import cluster
-from .harness import load_dataset, run_benchmark
+from .harness import dense_labels, load_dataset, run_benchmark
 from .io import read_labels, read_matrix, write_json, write_matrix
 from .kernels import build_kernel_bank
 from .metrics import accuracy, nmi
 from .semisupervised import ssl_experiment
-from .solver import SolverConfig, diagnostics_dict, solve
+from .solver import SolverConfig, canonical_regularizer, diagnostics_dict, solve
 
 USER_ERRORS = (
     DataFormatError,
@@ -63,7 +61,7 @@ def _cmd_kernels(args):
 def _cmd_learn(args):
     K = read_matrix(args.kernel)
     cfg = SolverConfig(
-        regularizer="low_rank" if args.reg == "lowrank" else args.reg,
+        regularizer=canonical_regularizer(args.reg),
         alpha=args.alpha,
         beta=args.beta,
         mu=args.mu,
@@ -103,11 +101,10 @@ def _cmd_cluster(args):
 
 def _cmd_ssl(args):
     Z = read_matrix(args.z)
-    labels = read_labels(args.labels)
-    uniq, dense = np.unique(labels, return_inverse=True)
+    labels, _ = dense_labels(read_labels(args.labels))
     res = ssl_experiment(
         Z,
-        dense,
+        labels,
         args.fraction,
         repeats=args.repeats,
         gamma=args.gamma,
@@ -158,7 +155,7 @@ def build_parser():
 
     l = sub.add_parser("learn", help="learn Z from a kernel matrix")
     l.add_argument("--kernel", required=True, help="kernel CSV (n x n)")
-    l.add_argument("--reg", required=True, choices=["lowrank", "sparse"])
+    l.add_argument("--reg", required=True, choices=["low_rank", "lowrank", "sparse"])
     l.add_argument("--alpha", type=float, default=0.1)
     l.add_argument("--beta", type=float, default=0.1)
     l.add_argument("--mu", type=float, default=1.0)

@@ -18,6 +18,7 @@ completion order never change the output.
 """
 
 import datetime
+import numbers
 import os
 import time
 import warnings
@@ -34,7 +35,7 @@ from .io import read_json, read_labels, read_matrix, write_json, write_matrix
 from .kernels import Dataset, bank_specs, compute_kernel, normalize_kernel
 from .metrics import accuracy, nmi
 from .semisupervised import ssl_experiment
-from .solver import REGULARIZERS, SolverConfig, solve
+from .solver import REGULARIZERS, SolverConfig, canonical_regularizer, require_number, solve
 
 TASKS = ("clustering", "ssl")
 
@@ -108,21 +109,21 @@ class ExperimentConfig:
     def validate(self):
         if self.task not in TASKS:
             raise ValueError(f"task must be one of {TASKS}")
+        # both tasks score against ground truth, so labels are required
+        for key in ("dataset", "labels", "out_dir"):
+            if not isinstance(getattr(self, key), (str, os.PathLike)):
+                raise ValueError(f"{key} must be a path, got {getattr(self, key)!r}")
         if self.bank is None:
             self.bank = "clustering12" if self.task == "clustering" else "ssl7"
-        if isinstance(self.regularizers, str):
-            raise ValueError("regularizers must be a list, not a string")
-        regs = []
+        self.regularizers = tuple(
+            canonical_regularizer(r) for r in _items(self.regularizers, "regularizers")
+        )
         for r in self.regularizers:
-            r = {"lowrank": "low_rank"}.get(r, r)
             if r not in REGULARIZERS:
                 raise ValueError(f"unknown regularizer {r!r}")
-            regs.append(r)
-        if not regs:
-            raise ValueError("regularizers must be nonempty")
-        self.regularizers = tuple(regs)
         self.alphas = _grid(self.alphas, "alphas", lambda v: v >= 0)
         self.betas = _grid(self.betas, "betas", lambda v: v > 0)
+        require_number("repeats", self.repeats, numbers.Integral)
         if self.task == "ssl":
             self.gammas = _grid(self.gammas, "gammas", lambda v: v > 0)
             self.fractions = _grid(
@@ -130,34 +131,40 @@ class ExperimentConfig:
             )
             if self.repeats < 1:
                 raise ValueError("repeats must be at least 1")
-        if self.mu <= 0 or self.tol <= 0 or self.max_iter < 1:
-            raise ValueError("mu and tol must be positive, max_iter >= 1")
+        if not isinstance(self.save_z, bool):
+            raise ValueError(f"save_z must be true or false, got {self.save_z!r}")
+        self.solver_config(self.regularizers[0], self.alphas[0], self.betas[0]).validate()
         return self
+
+    def solver_config(self, regularizer, alpha, beta) -> SolverConfig:
+        """The SolverConfig of one grid cell; mu, tol, max_iter, seed are shared."""
+        shared = dict(mu=self.mu, max_iter=self.max_iter, tol=self.tol, seed=self.seed)
+        return SolverConfig(regularizer=regularizer, alpha=alpha, beta=beta, **shared)
+
+
+def _items(values, name):
+    if not isinstance(values, (list, tuple)) or not values:
+        raise ValueError(f"{name} must be a nonempty list, got {values!r}")
+    return tuple(values)
 
 
 def _grid(values, name, ok):
-    if isinstance(values, str):
-        raise ValueError(f"{name} must be a list of numbers")
-    try:
-        vals = tuple(float(v) for v in values)
-    except TypeError:
-        raise ValueError(f"{name} must be a list of numbers") from None
-    if not vals or not all(ok(v) for v in vals):
-        raise ValueError(f"{name} must be a nonempty list of valid values")
+    vals = tuple(float(require_number(name, v)) for v in _items(values, name))
+    if not all(ok(v) for v in vals):
+        raise ValueError(f"{name} has an out-of-range value: {list(vals)}")
     return vals
 
 
 def load_experiment_config(path) -> ExperimentConfig:
     raw = read_json(path)
+    if not isinstance(raw, dict):
+        raise ValueError(f"{path}: config must be a JSON object")
     unknown = set(raw) - set(ExperimentConfig.__dataclass_fields__)
     if unknown:
         raise ValueError(f"unknown config keys: {sorted(unknown)}")
     for key in ("task", "dataset", "labels", "out_dir"):
         if key not in raw:
             raise ValueError(f"config is missing required key {key!r}")
-    for key in ("regularizers", "alphas", "betas", "gammas", "fractions"):
-        if key in raw:
-            raw[key] = tuple(raw[key])
     return ExperimentConfig(**raw).validate()
 
 
@@ -179,27 +186,22 @@ def load_dataset(path, labels_path=None) -> Dataset:
                 f"label count {labels.shape[0]} does not match "
                 f"sample count {X.shape[0]}"
             )
-        uniq, dense = np.unique(labels, return_inverse=True)
-        c = uniq.size
-        if not np.array_equal(uniq, np.arange(c)):
-            warnings.warn(
-                f"labels {uniq.tolist()} are not dense 0..{c - 1}; relabeling"
-            )
-        labels = dense
+        labels, c = dense_labels(labels)
     return Dataset(features=X, labels=labels, c=c)
+
+
+def dense_labels(labels):
+    """(labels relabeled to 0..c-1, c); warns when the ids had gaps."""
+    uniq, dense = np.unique(labels, return_inverse=True)
+    c = uniq.size
+    if not np.array_equal(uniq, np.arange(c)):
+        warnings.warn(f"labels {uniq.tolist()} are not dense 0..{c - 1}; relabeling")
+    return dense, c
 
 
 def _row_sort_key(row: ResultRow):
     kind = {BEST_KERNEL: 1, MEAN_KERNEL: 2}.get(row.kernel, 0)
-    return (
-        row.regularizer,
-        row.alpha,
-        row.beta,
-        -1.0 if row.gamma is None else row.gamma,
-        -1.0 if row.fraction is None else row.fraction,
-        kind,
-        row.kernel_order,
-    )
+    return (*_group_key(row), kind, row.kernel_order)
 
 
 def _summarize(cells):
@@ -210,24 +212,22 @@ def _summarize(cells):
     """
     groups = {}
     for r in cells:
-        key = (r.regularizer, r.alpha, r.beta, r.gamma, r.fraction)
-        groups.setdefault(key, []).append(r)
+        groups.setdefault(_group_key(r), []).append(r)
     out = []
-    for key in sorted(groups, key=_group_key):
+    for key in sorted(groups):
         ok = sorted(
             (r for r in groups[key] if r.acc is not None),
             key=lambda r: r.kernel_order,
         )
         if not ok:
             continue
-        reg, alpha, beta, gamma, fraction = key
         base = dict(
             dataset=ok[0].dataset,
-            regularizer=reg,
-            alpha=alpha,
-            beta=beta,
-            gamma=gamma,
-            fraction=fraction,
+            regularizer=ok[0].regularizer,
+            alpha=ok[0].alpha,
+            beta=ok[0].beta,
+            gamma=ok[0].gamma,
+            fraction=ok[0].fraction,
         )
         accs = [r.acc for r in ok]
         nmis = [r.nmi for r in ok if r.nmi is not None]
@@ -252,23 +252,51 @@ def _summarize(cells):
     return out
 
 
-def _group_key(key):
-    reg, alpha, beta, gamma, fraction = key
+def _group_key(row):
+    """A row's hyperparameter group; None maps to -1 so groups sort."""
     return (
-        reg,
-        alpha,
-        beta,
-        -1.0 if gamma is None else gamma,
-        -1.0 if fraction is None else fraction,
+        row.regularizer,
+        row.alpha,
+        row.beta,
+        -1.0 if row.gamma is None else row.gamma,
+        -1.0 if row.fraction is None else row.fraction,
     )
 
 
 def _z_path(out_dir, kernel_name, reg, alpha, beta):
-    return Path(out_dir) / f"z_{kernel_name}_{reg}_a{alpha:g}_b{beta:g}.csv"
+    return Path(out_dir) / f"z_{kernel_name}_{reg}_a{_fmt(alpha)}_b{_fmt(beta)}.csv"
 
 
-def _run_grid(config: ExperimentConfig, cell_fn):
-    """Shared grid walk: build the bank, run cells on a pool, summarize."""
+def _clustering_metrics(Z, data, config):
+    """Spectral clustering of Z scored by Acc and NMI: one metric dict."""
+    pred = cluster(Z, data.c, seed=config.seed).assignments
+    return [{"acc": accuracy(pred, data.labels), "nmi": nmi(pred, data.labels)}]
+
+
+def _ssl_metrics(Z, data, config):
+    """Label propagation on Z: one metric dict per gamma x fraction."""
+    out = []
+    for gamma in config.gammas:
+        for fraction in config.fractions:
+            r = ssl_experiment(
+                Z, data.labels, fraction, config.repeats, gamma=gamma, seed=config.seed
+            )
+            out.append(
+                dict(gamma=gamma, fraction=fraction, acc=r.mean_acc, acc_std=r.std_acc)
+            )
+    return out
+
+
+def run_experiment(config: ExperimentConfig):
+    """Solve every grid cell, save Z if asked, score it, and summarize.
+
+    A cell yields one row per metric dict its task's step returns.
+    Returns (rows in canonical order, info).
+    """
+    config.validate()
+    out_dir = Path(config.out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    metrics = _clustering_metrics if config.task == "clustering" else _ssl_metrics
     data = load_dataset(config.dataset, config.labels)
     kernels = []
     failures = []
@@ -292,25 +320,21 @@ def _run_grid(config: ExperimentConfig, cell_fn):
 
     def run_cell(job):
         order, km, reg, alpha, beta = job
+        where = dict(kernel=km.spec.name, regularizer=reg, alpha=alpha, beta=beta)
+        cell = dict(where, dataset=dataset_name, kernel_order=order)
         try:
-            return cell_fn(data, dataset_name, order, km, reg, alpha, beta), None
+            coeff, _ = solve(km.values, config.solver_config(reg, alpha, beta))
+            if config.save_z:
+                write_matrix(
+                    _z_path(out_dir, km.spec.name, reg, alpha, beta), coeff.values
+                )
+            end = dict(converged=coeff.converged, iterations=coeff.iterations)
+            return [
+                ResultRow(**cell, **m, **end) for m in metrics(coeff.values, data, config)
+            ], None
         except Exception as e:
-            fail_row = ResultRow(
-                dataset=dataset_name,
-                kernel=km.spec.name,
-                regularizer=reg,
-                alpha=alpha,
-                beta=beta,
-                converged=False,
-                kernel_order=order,
-            )
-            return [fail_row], {
-                "kernel": km.spec.name,
-                "regularizer": reg,
-                "alpha": alpha,
-                "beta": beta,
-                "error": f"{type(e).__name__}: {e}",
-            }
+            failure = dict(where, error=f"{type(e).__name__}: {e}")
+            return [ResultRow(**cell, converged=False)], failure
 
     workers = max(1, int(os.environ.get("SIMILEARN_WORKERS", "1")))
     if workers == 1:
@@ -319,110 +343,12 @@ def _run_grid(config: ExperimentConfig, cell_fn):
         with ThreadPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(run_cell, jobs))
 
-    rows = []
-    for cell_rows, failure in results:
-        rows.extend(cell_rows)
-        if failure is not None:
-            failures.append(failure)
-    rows += _summarize([r for r in rows if r.kernel not in (BEST_KERNEL, MEAN_KERNEL)])
+    rows = [row for cell_rows, _ in results for row in cell_rows]
+    failures += [failure for _, failure in results if failure is not None]
+    rows += _summarize(rows)
     rows.sort(key=_row_sort_key)
     info = {"n_cells": len(jobs), "n_failed": len(failures), "failures": failures}
     return rows, info
-
-
-def run_clustering_experiment(config: ExperimentConfig):
-    """Solve + spectral clustering + Acc/NMI per grid cell."""
-    config.validate()
-    if config.labels is None:
-        raise ValueError("clustering experiments need ground-truth labels")
-    out_dir = Path(config.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-
-    def cell(data, dataset_name, order, km, reg, alpha, beta):
-        scfg = SolverConfig(
-            regularizer=reg,
-            alpha=alpha,
-            beta=beta,
-            mu=config.mu,
-            max_iter=config.max_iter,
-            tol=config.tol,
-            seed=config.seed,
-        )
-        coeff, _ = solve(km.values, scfg)
-        if config.save_z:
-            write_matrix(
-                _z_path(out_dir, km.spec.name, reg, alpha, beta), coeff.values
-            )
-        res = cluster(coeff.values, data.c, seed=config.seed)
-        return [
-            ResultRow(
-                dataset=dataset_name,
-                kernel=km.spec.name,
-                regularizer=reg,
-                alpha=alpha,
-                beta=beta,
-                acc=accuracy(res.assignments, data.labels),
-                nmi=nmi(res.assignments, data.labels),
-                converged=coeff.converged,
-                iterations=coeff.iterations,
-                kernel_order=order,
-            )
-        ]
-
-    return _run_grid(config, cell)
-
-
-def run_ssl_experiment(config: ExperimentConfig):
-    """Solve once per cell, then propagate labels per gamma x fraction."""
-    config.validate()
-    out_dir = Path(config.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-
-    def cell(data, dataset_name, order, km, reg, alpha, beta):
-        scfg = SolverConfig(
-            regularizer=reg,
-            alpha=alpha,
-            beta=beta,
-            mu=config.mu,
-            max_iter=config.max_iter,
-            tol=config.tol,
-            seed=config.seed,
-        )
-        coeff, _ = solve(km.values, scfg)
-        if config.save_z:
-            write_matrix(
-                _z_path(out_dir, km.spec.name, reg, alpha, beta), coeff.values
-            )
-        rows = []
-        for gamma in config.gammas:
-            for fraction in config.fractions:
-                r = ssl_experiment(
-                    coeff.values,
-                    data.labels,
-                    fraction,
-                    repeats=config.repeats,
-                    gamma=gamma,
-                    seed=config.seed,
-                )
-                rows.append(
-                    ResultRow(
-                        dataset=dataset_name,
-                        kernel=km.spec.name,
-                        regularizer=reg,
-                        alpha=alpha,
-                        beta=beta,
-                        gamma=gamma,
-                        fraction=fraction,
-                        acc=r.mean_acc,
-                        acc_std=r.std_acc,
-                        converged=coeff.converged,
-                        iterations=coeff.iterations,
-                        kernel_order=order,
-                    )
-                )
-        return rows
-
-    return _run_grid(config, cell)
 
 
 def _fmt(value):
@@ -470,12 +396,16 @@ def persist_results(rows, out_dir, config: ExperimentConfig, info=None, wall_clo
 
 
 def run_benchmark(config_path):
-    """Load a config, run the matching experiment, persist everything."""
+    """Load a config, run the experiment, persist everything.
+
+    Returns (csv_path, manifest_path). Raises ValueError, after both
+    files are written, when no cell produced metrics.
+    """
     config = load_experiment_config(config_path)
     start = time.perf_counter()
-    if config.task == "clustering":
-        rows, info = run_clustering_experiment(config)
-    else:
-        rows, info = run_ssl_experiment(config)
+    rows, info = run_experiment(config)
     elapsed = time.perf_counter() - start
-    return persist_results(rows, config.out_dir, config, info, wall_clock_s=elapsed)
+    paths = persist_results(rows, config.out_dir, config, info, wall_clock_s=elapsed)
+    if all(r.acc is None for r in rows):
+        raise ValueError(f"no grid cell produced metrics; see {paths[1]}")
+    return paths

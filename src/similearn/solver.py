@@ -19,6 +19,7 @@ The diagonal of Z is zeroed after every Z update, which keeps the
 constraint exact without touching the closed forms.
 """
 
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -27,6 +28,19 @@ from scipy.linalg import LinAlgError, cho_factor, cho_solve
 from .errors import DivergenceError, LinearSolveError
 
 REGULARIZERS = ("low_rank", "sparse")
+
+
+def canonical_regularizer(name):
+    """Resolve the accepted alias ``lowrank`` to ``low_rank``."""
+    return "low_rank" if name == "lowrank" else name
+
+
+def require_number(name, value, kind=numbers.Real):
+    """Return value if it is a ``kind`` instance, else raise; bool never passes."""
+    if isinstance(value, bool) or not isinstance(value, kind):
+        noun = "an integer" if kind is numbers.Integral else "a number"
+        raise ValueError(f"{name} must be {noun}, got {value!r}")
+    return value
 
 
 @dataclass
@@ -49,6 +63,10 @@ class SolverConfig:
     def validate(self):
         if self.regularizer not in REGULARIZERS:
             raise ValueError(f"regularizer must be one of {REGULARIZERS}")
+        for name in ("alpha", "beta", "mu", "tol"):
+            require_number(name, getattr(self, name))
+        for name in ("max_iter", "seed"):
+            require_number(name, getattr(self, name), numbers.Integral)
         if self.alpha < 0:
             raise ValueError("alpha must be nonnegative")
         if self.beta <= 0:
@@ -59,23 +77,19 @@ class SolverConfig:
             raise ValueError("max_iter must be at least 1")
         if self.tol <= 0:
             raise ValueError("tol must be positive")
+        if self.seed < 0:
+            raise ValueError("seed must be nonnegative")
 
 
 @dataclass
 class SolverState:
-    """Final iterates plus per-iteration diagnostics.
+    """How a solve ended, plus per-iteration diagnostics.
 
     residuals[k] holds (||J-Z||_F, ||W-Z||_F, ||H-Z||_F) after
     iteration k's Z update; objective[k] the full objective at that Z.
+    The learned Z itself is returned as the CoefficientMatrix.
     """
 
-    J: np.ndarray
-    W: np.ndarray
-    H: np.ndarray
-    Z: np.ndarray
-    Y1: np.ndarray
-    Y2: np.ndarray
-    Y3: np.ndarray
     iterations: int = 0
     rel_change: float = np.inf
     converged: bool = False
@@ -102,30 +116,28 @@ def prox_nuclear(D, tau):
     return (U * np.maximum(s - tau, 0.0)) @ Vt
 
 
+def _factor_spd(A, message):
+    """cho_factor of SPD A, else LinearSolveError(message), {cond} filled in."""
+    try:
+        return cho_factor(A)
+    except LinAlgError as e:
+        cond = float(np.linalg.cond(A))
+        raise LinearSolveError(message.format(cond=f"{cond:.3e}"), cond=cond) from e
+
+
 def _solve_spd(A, B, what):
     """Solve A X = B for symmetric positive definite A via Cholesky."""
-    try:
-        c = cho_factor(A)
-    except LinAlgError as e:
-        raise LinearSolveError(
-            f"{what}: left-hand side is not positive definite "
-            f"(cond ~ {np.linalg.cond(A):.3e}); increase mu",
-            cond=float(np.linalg.cond(A)),
-        ) from e
-    return cho_solve(c, B)
+    msg = f"{what}: left-hand side is not positive definite (cond ~ {{cond}}); increase mu"
+    return cho_solve(_factor_spd(A, msg), B)
 
 
-def update_j(K, Z, Y1, mu, factor=None):
+def update_j(K, Z, Y1, mu, factor):
     """J = (K + mu I)^-1 (K + mu Z - Y1).
 
-    ``factor`` is an optional precomputed cho_factor of (K + mu I);
-    the solve loop reuses one factorization across iterations.
+    ``factor`` is the cho_factor of (K + mu I); the solve loop reuses
+    one factorization across iterations.
     """
-    rhs = K + mu * Z - Y1
-    if factor is not None:
-        return cho_solve(factor, rhs)
-    n = K.shape[0]
-    return _solve_spd(K + mu * np.eye(n), rhs, "J update")
+    return cho_solve(factor, K + mu * Z - Y1)
 
 
 def update_w(K, H, Z, Y2, mu, alpha):
@@ -252,21 +264,17 @@ def solve(K, config: SolverConfig):
     mu, alpha, beta = config.mu, config.alpha, config.beta
 
     # (K + mu I) never changes; factor it once for every J update
-    try:
-        j_factor = cho_factor(K + mu * np.eye(n))
-    except LinAlgError as e:
-        A = K + mu * np.eye(n)
-        raise LinearSolveError(
-            "K + mu I is not positive definite; mu must exceed the most "
-            f"negative kernel eigenvalue (cond ~ {np.linalg.cond(A):.3e})",
-            cond=float(np.linalg.cond(A)),
-        ) from e
+    j_factor = _factor_spd(
+        K + mu * np.eye(n),
+        "K + mu I is not positive definite; mu must exceed the most "
+        "negative kernel eigenvalue (cond ~ {cond})",
+    )
 
-    state = SolverState(J=None, W=None, H=H, Z=Z, Y1=Y1, Y2=Y2, Y3=Y3)
+    state = SolverState()
     converged = False
     it = 0
     for it in range(1, config.max_iter + 1):
-        J = update_j(K, Z, Y1, mu, factor=j_factor)
+        J = update_j(K, Z, Y1, mu, j_factor)
         _check_finite(J, "J", it)
         W = update_w(K, H, Z, Y2, mu, alpha)
         _check_finite(W, "W", it)
@@ -296,8 +304,6 @@ def solve(K, config: SolverConfig):
             converged = True
             break
 
-    state.J, state.W, state.H, state.Z = J, W, H, Z
-    state.Y1, state.Y2, state.Y3 = Y1, Y2, Y3
     state.iterations = it
     state.converged = converged
     coeff = CoefficientMatrix(

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import two_blobs
+from similearn import harness
 from similearn.cli import main
 from similearn.io import read_matrix, write_labels, write_matrix
 
@@ -56,6 +57,17 @@ def test_learn_cluster_ssl_eval_pipeline(tmp_path, blob_files, capsys):
         "converged", "iterations", "final_rel_change", "residuals", "objective",
     }
 
+    # the canonical name and its alias learn the same Z
+    for reg in ("low_rank", "lowrank"):
+        rc = main([
+            "learn", "--kernel", str(bank / "linear.csv"), "--reg", reg,
+            "--max-iter", "20", "--out", str(tmp_path / f"z_{reg}.csv"),
+        ])
+        assert rc == 0
+    assert np.array_equal(
+        read_matrix(tmp_path / "z_low_rank.csv"), read_matrix(tmp_path / "z_lowrank.csv")
+    )
+
     cj = tmp_path / "clusters.json"
     rc = main([
         "cluster", "--z", str(z), "--classes", "2", "--seed", "0",
@@ -104,6 +116,79 @@ def test_benchmark_command(tmp_path, blob_files):
     assert (tmp_path / "out" / "results.csv").exists()
     manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
     assert manifest["config"]["task"] == "ssl"
+
+
+def write_config(tmp_path, fp, lp, over=None):
+    """A small clustering config updated by ``over``; a non-dict replaces it."""
+    cfg = {
+        "task": "clustering",
+        "dataset": str(fp),
+        "labels": str(lp),
+        "out_dir": str(tmp_path / "out"),
+        "regularizers": ["sparse"],
+        "max_iter": 20,
+    }
+    if isinstance(over, dict):
+        cfg.update(over)
+    elif over is not None:
+        cfg = over
+    p = tmp_path / "cfg.json"
+    p.write_text(json.dumps(cfg))
+    return p
+
+
+@pytest.mark.parametrize(
+    "over",
+    [
+        {"repeats": "5"},
+        {"mu": "1"},
+        {"alphas": 0.1},
+        {"max_iter": 2.5},
+        {"seed": -1},
+        {"save_z": "no"},
+        {"labels": None},
+        {"task": "ssl", "labels": None},
+        {"regularizers": 5},
+        {"dataset": None},
+        5,
+    ],
+)
+def test_benchmark_rejects_malformed_config(tmp_path, blob_files, capsys, over):
+    p = write_config(tmp_path, *blob_files, over)
+    assert main(["benchmark", "--config", str(p)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("broken", ["solve", "compute_kernel"])
+def test_benchmark_without_results_exits_2(
+    tmp_path, blob_files, capsys, monkeypatch, broken
+):
+    def fail(*args, **kwargs):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(harness, broken, fail)
+    p = write_config(tmp_path, *blob_files)
+    assert main(["benchmark", "--config", str(p)]) == 2
+    assert "error: no grid cell produced metrics" in capsys.readouterr().err
+    assert (tmp_path / "out" / "results.csv").exists()
+    manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+    assert manifest["n_failed"] == 12
+
+
+def test_ssl_relabels_gapped_labels_with_warning(tmp_path):
+    z = tmp_path / "z.csv"
+    lp = tmp_path / "labels.csv"
+    write_matrix(z, np.ones((4, 4)) - np.eye(4))
+    write_labels(lp, [0, 0, 2, 2])
+    with pytest.warns(UserWarning, match="relabeling"):
+        rc = main([
+            "ssl", "--z", str(z), "--labels", str(lp), "--fraction", "0.5",
+            "--repeats", "2", "--out", str(tmp_path / "ssl.json"),
+        ])
+    assert rc == 0
 
 
 def test_cli_reports_data_errors(tmp_path, capsys):

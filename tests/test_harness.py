@@ -15,8 +15,7 @@ from similearn.harness import (
     persist_results,
     rows_to_csv,
     run_benchmark,
-    run_clustering_experiment,
-    run_ssl_experiment,
+    run_experiment,
 )
 from similearn.io import read_matrix, write_labels, write_matrix
 from similearn.metrics import accuracy
@@ -92,6 +91,23 @@ def test_config_validation_errors(tmp_path):
         small_config(tmp_path, task="ssl", fractions=[1.5])
     with pytest.raises(ValueError):
         small_config(tmp_path, regularizers="sparse")
+    for bad in (
+        dict(repeats="5"),
+        dict(mu="1"),
+        dict(alphas=0.1),
+        dict(alphas=[True]),
+        dict(betas=["0.1"]),
+        dict(max_iter=2.5),
+        dict(seed=-1),
+        dict(seed=True),
+        dict(save_z="no"),
+        dict(labels=None),
+        dict(task="ssl", labels=None),
+    ):
+        with pytest.raises(ValueError):
+            small_config(tmp_path, **bad)
+    # numpy scalars are numbers too
+    small_config(tmp_path, mu=np.float64(1.0), max_iter=np.int64(5), seed=np.int64(0))
 
 
 # ------------------------------------------------------------- dataset
@@ -138,7 +154,7 @@ def test_load_dataset_needs_two_samples(tmp_path):
 
 
 def test_clustering_grid_row_counts(tmp_path):
-    rows, info = run_clustering_experiment(small_config(tmp_path))
+    rows, info = run_experiment(small_config(tmp_path))
     cells = [r for r in rows if r.kernel not in (BEST_KERNEL, MEAN_KERNEL)]
     best = [r for r in rows if r.kernel == BEST_KERNEL]
     mean = [r for r in rows if r.kernel == MEAN_KERNEL]
@@ -153,7 +169,7 @@ def test_clustering_grid_row_counts(tmp_path):
 
 
 def test_summary_rows_recomputable(tmp_path):
-    rows, _ = run_clustering_experiment(small_config(tmp_path))
+    rows, _ = run_experiment(small_config(tmp_path))
     for reg in ("low_rank", "sparse"):
         cells = sorted(
             (
@@ -173,15 +189,15 @@ def test_summary_rows_recomputable(tmp_path):
 
 def test_grid_deterministic_and_worker_invariant(tmp_path, monkeypatch):
     cfg = small_config(tmp_path)
-    a = rows_to_csv(run_clustering_experiment(cfg)[0])
+    a = rows_to_csv(run_experiment(cfg)[0])
     monkeypatch.setenv("SIMILEARN_WORKERS", "3")
-    b = rows_to_csv(run_clustering_experiment(cfg)[0])
+    b = rows_to_csv(run_experiment(cfg)[0])
     assert a == b
 
 
 def test_save_z_roundtrip(tmp_path):
     cfg = small_config(tmp_path, save_z=True, regularizers=["sparse"])
-    rows, _ = run_clustering_experiment(cfg)
+    rows, _ = run_experiment(cfg)
     row = next(r for r in rows if r.kernel == "linear")
     zp = tmp_path / "out" / "z_linear_sparse_a0.1_b0.1.csv"
     assert zp.exists()
@@ -189,6 +205,16 @@ def test_save_z_roundtrip(tmp_path):
     res = cluster(Z, 2, seed=cfg.seed)
     data = two_blobs(n_per=4)
     assert accuracy(res.assignments, data.labels) == row.acc
+
+
+def test_save_z_names_distinguish_close_alphas(tmp_path):
+    cfg = small_config(
+        tmp_path, save_z=True, regularizers=["sparse"], alphas=[0.1, 0.1000001]
+    )
+    _, info = run_experiment(cfg)
+    assert info["n_cells"] == 24
+    assert len(list((tmp_path / "out").glob("z_*.csv"))) == 24
+    assert (tmp_path / "out" / "z_linear_sparse_a0.1000001_b0.1.csv").exists()
 
 
 def test_ssl_grid_rows(tmp_path):
@@ -206,7 +232,7 @@ def test_ssl_grid_rows(tmp_path):
         repeats=5,
         seed=0,
     ).validate()
-    rows, info = run_ssl_experiment(cfg)
+    rows, info = run_experiment(cfg)
     cells = [r for r in rows if r.kernel not in (BEST_KERNEL, MEAN_KERNEL)]
     assert len(cells) == 7  # ssl7 bank
     assert all(r.fraction == 0.25 and r.gamma == 1.0 for r in cells)
@@ -230,7 +256,7 @@ def test_failed_kernels_recorded_not_fatal(tmp_path):
         out_dir=str(tmp_path / "out"),
         regularizers=("sparse",),
     ).validate()
-    rows, info = run_clustering_experiment(cfg)
+    rows, info = run_experiment(cfg)
     assert info["n_failed"] == 7
     assert all("gaussian" in f["kernel"] for f in info["failures"])
     cells = [r for r in rows if r.kernel not in (BEST_KERNEL, MEAN_KERNEL)]
@@ -252,7 +278,7 @@ def test_persist_empty_rows(tmp_path):
 
 
 def test_csv_formatting(tmp_path):
-    rows, _ = run_clustering_experiment(small_config(tmp_path, regularizers=["sparse"]))
+    rows, _ = run_experiment(small_config(tmp_path, regularizers=["sparse"]))
     text = rows_to_csv(rows)
     lines = text.strip().split("\n")
     assert lines[0] == ",".join(CSV_COLUMNS)

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.linalg import cho_factor
 
 from conftest import random_psd_kernel
 from similearn.errors import LinearSolveError
@@ -88,7 +89,7 @@ def test_prox_nuclear_optimality(rng):
 
 def test_update_j_identity_case():
     K = np.eye(2)
-    J = update_j(K, np.zeros((2, 2)), np.zeros((2, 2)), 1.0)
+    J = update_j(K, np.zeros((2, 2)), np.zeros((2, 2)), 1.0, cho_factor(K + np.eye(2)))
     np.testing.assert_allclose(J, 0.5 * np.eye(2), atol=1e-12)
 
 
@@ -97,7 +98,7 @@ def test_update_j_large_mu_approaches_z(rng):
     Z = rng.standard_normal((4, 4))
     Y1 = np.zeros((4, 4))
     gaps = [
-        np.linalg.norm(update_j(K, Z, Y1, mu) - Z, "fro")
+        np.linalg.norm(update_j(K, Z, Y1, mu, cho_factor(K + mu * np.eye(4))) - Z, "fro")
         for mu in (1.0, 10.0, 100.0, 1000.0)
     ]
     assert all(b < a for a, b in zip(gaps, gaps[1:]))
@@ -140,7 +141,7 @@ def test_update_plug_back_residuals(rng):
     Y = rng.standard_normal((n, n))
     mu, alpha = 1.3, 0.7
 
-    J = update_j(K, Z, Y, mu)
+    J = update_j(K, Z, Y, mu, cho_factor(K + mu * np.eye(n)))
     r = (K + mu * np.eye(n)) @ J - (K + mu * Z - Y)
     assert np.linalg.norm(r, "fro") <= 1e-10
 

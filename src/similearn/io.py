@@ -8,6 +8,7 @@ line number.
 
 import csv
 import json
+from itertools import islice
 
 import numpy as np
 
@@ -17,35 +18,50 @@ from .errors import DataFormatError
 FLOAT_FMT = "%.17g"
 
 
-def read_matrix(path) -> np.ndarray:
-    """Read a 2-D numeric CSV; rejects ragged rows and non-finite values."""
-    rows = []
-    width = None
-    with open(path, newline="") as f:
+def _records(f, path):
+    """Yield ``(line, fields)`` for each non-blank CSV record of the open file ``f``.
+
+    ``line`` counts records, blank ones too: the file line unless a quoted field spans lines.
+    """
+    lineno = 0
+    try:
         for lineno, row in enumerate(csv.reader(f), start=1):
-            if not row or all(x.strip() == "" for x in row):
-                continue
+            if row and not all(x.strip() == "" for x in row):
+                yield lineno, row
+    except csv.Error as e:
+        lineno += 1
+        raise DataFormatError(f"{path}: bad CSV on line {lineno}: {e}", line=lineno) from None
+    except UnicodeDecodeError as e:
+        raise DataFormatError(f"{path}: not {e.encoding} text: {e.reason}") from None
+
+
+def read_matrix(path) -> np.ndarray:
+    """Read a 2-D numeric CSV; rejects ragged rows and non-finite values.
+
+    Fields parse as ``float()`` parses them; the first bad line in file order is reported.
+    """
+    rows = []
+    with open(path, newline="") as f:
+        for lineno, row in _records(f, path):
             try:
-                vals = [float(x) for x in row]
+                vals = np.array(row, dtype=float)
             except ValueError:
                 raise DataFormatError(
                     f"{path}: non-numeric value on line {lineno}", line=lineno
                 ) from None
-            if width is None:
-                width = len(vals)
-            elif len(vals) != width:
+            if rows and len(vals) != len(rows[0]):
                 raise DataFormatError(
-                    f"{path}: line {lineno} has {len(vals)} columns, expected {width}",
+                    f"{path}: line {lineno} has {len(vals)} columns, expected {len(rows[0])}",
                     line=lineno,
                 )
-            if not all(np.isfinite(v) for v in vals):
+            if not np.isfinite(vals).all():
                 raise DataFormatError(
                     f"{path}: non-finite value on line {lineno}", line=lineno
                 )
             rows.append(vals)
     if not rows:
         raise DataFormatError(f"{path}: no data rows")
-    return np.array(rows, dtype=float)
+    return np.vstack(rows)
 
 
 def write_matrix(path, M):
@@ -58,9 +74,11 @@ def read_labels(path) -> np.ndarray:
     if M.shape[1] != 1:
         raise DataFormatError(f"{path}: labels must be a single column")
     vals = M[:, 0]
-    if not np.all(vals == np.round(vals)):
-        bad = int(np.flatnonzero(vals != np.round(vals))[0]) + 1
-        raise DataFormatError(f"{path}: non-integer label on line {bad}", line=bad)
+    bad = np.flatnonzero(vals != np.round(vals))
+    if bad.size:
+        with open(path, newline="") as f:
+            line, _ = next(islice(_records(f, path), int(bad[0]), None))
+        raise DataFormatError(f"{path}: non-integer label on line {line}", line=line)
     return vals.astype(int)
 
 

@@ -199,6 +199,25 @@ def test_cli_reports_data_errors(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "content, detail",
+    [
+        (b"1,2\n" + b"1" * 200_000 + b",2\n", "line 2"),  # over csv's field size limit
+        (b"1,2\n\xff\xfe,3\n", ""),  # not text in the default encoding
+    ],
+    ids=["field_limit", "binary"],
+)
+def test_cli_reports_unreadable_csv(tmp_path, capsys, content, detail):
+    bad = tmp_path / "bad.csv"
+    bad.write_bytes(content)
+    rc = main(["cluster", "--z", str(bad), "--classes", "2", "--out", str(tmp_path / "c.json")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {bad}:")
+    assert detail in err
+    assert "Traceback" not in err
+
+
 def test_cli_version(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["--version"])

@@ -16,6 +16,7 @@ code 2 signals a usage or data error.
 import argparse
 import json
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 from . import __version__
@@ -23,10 +24,10 @@ from .errors import DataFormatError, DegenerateKernelError, DivergenceError, Lin
 from .graph import cluster
 from .harness import dense_labels, load_dataset, run_benchmark
 from .io import read_labels, read_matrix, write_json, write_matrix
-from .kernels import build_kernel_bank
+from .kernels import BANKS, build_kernel_bank
 from .metrics import accuracy, nmi
-from .semisupervised import ssl_experiment
-from .solver import SolverConfig, canonical_regularizer, diagnostics_dict, solve
+from .semisupervised import DEFAULT_GAMMA, DEFAULT_REPEATS, ssl_experiment
+from .solver import REGULARIZERS, SolverConfig, canonical_regularizer, diagnostics_dict, solve
 
 USER_ERRORS = (
     DataFormatError,
@@ -60,15 +61,7 @@ def _cmd_kernels(args):
 
 def _cmd_learn(args):
     K = read_matrix(args.kernel)
-    cfg = SolverConfig(
-        regularizer=canonical_regularizer(args.reg),
-        alpha=args.alpha,
-        beta=args.beta,
-        mu=args.mu,
-        max_iter=args.max_iter,
-        tol=args.tol,
-        seed=args.seed,
-    )
+    cfg = SolverConfig(**{f.name: getattr(args, f.name) for f in fields(SolverConfig)})
     coeff, state = solve(K, cfg)
     write_matrix(args.out, coeff.values)
     diag_path = args.diagnostics or str(Path(args.out).with_suffix("")) + ".diagnostics.json"
@@ -149,19 +142,23 @@ def build_parser():
 
     k = sub.add_parser("kernels", help="build a kernel bank from features")
     k.add_argument("--data", required=True, help="features CSV, one sample per row")
-    k.add_argument("--bank", default="clustering12", choices=["clustering12", "ssl7"])
+    k.add_argument("--bank", default="clustering12", choices=tuple(BANKS))
     k.add_argument("--out-dir", required=True)
     k.set_defaults(fn=_cmd_kernels)
 
     l = sub.add_parser("learn", help="learn Z from a kernel matrix")
     l.add_argument("--kernel", required=True, help="kernel CSV (n x n)")
-    l.add_argument("--reg", required=True, choices=["low_rank", "lowrank", "sparse"])
-    l.add_argument("--alpha", type=float, default=0.1)
-    l.add_argument("--beta", type=float, default=0.1)
-    l.add_argument("--mu", type=float, default=1.0)
-    l.add_argument("--max-iter", type=int, default=300)
-    l.add_argument("--tol", type=float, default=1e-5)
-    l.add_argument("--seed", type=int, default=0)
+    # choices are checked after the alias lowrank becomes low_rank
+    l.add_argument(
+        "--reg",
+        dest="regularizer",
+        required=True,
+        type=canonical_regularizer,
+        choices=REGULARIZERS,
+    )
+    for f in fields(SolverConfig):
+        if f.name != "regularizer":
+            l.add_argument(f"--{f.name.replace('_', '-')}", type=f.type, default=f.default)
     l.add_argument("--out", required=True, help="output CSV for Z")
     l.add_argument(
         "--diagnostics",
@@ -182,8 +179,8 @@ def build_parser():
     s.add_argument("--z", required=True)
     s.add_argument("--labels", required=True)
     s.add_argument("--fraction", type=float, default=0.1)
-    s.add_argument("--repeats", type=int, default=20)
-    s.add_argument("--gamma", type=float, default=1.0)
+    s.add_argument("--repeats", type=int, default=DEFAULT_REPEATS)
+    s.add_argument("--gamma", type=float, default=DEFAULT_GAMMA)
     s.add_argument("--seed", type=int, default=0)
     s.add_argument("--out", required=True, help="output JSON")
     s.set_defaults(fn=_cmd_ssl)

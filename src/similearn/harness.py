@@ -18,12 +18,13 @@ completion order never change the output.
 """
 
 import datetime
+import itertools
 import numbers
 import os
 import time
 import warnings
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 from typing import Optional
 
@@ -34,26 +35,10 @@ from .graph import cluster
 from .io import read_json, read_labels, read_matrix, write_json, write_matrix
 from .kernels import Dataset, bank_specs, compute_kernel, normalize_kernel
 from .metrics import accuracy, nmi
-from .semisupervised import ssl_experiment
+from .semisupervised import DEFAULT_GAMMA, DEFAULT_REPEATS, check_protocol, ssl_experiment
 from .solver import REGULARIZERS, SolverConfig, canonical_regularizer, require_number, solve
 
 TASKS = ("clustering", "ssl")
-
-CSV_COLUMNS = (
-    "dataset",
-    "kernel",
-    "regularizer",
-    "alpha",
-    "beta",
-    "gamma",
-    "fraction",
-    "acc",
-    "acc_std",
-    "nmi",
-    "nmi_std",
-    "converged",
-    "iterations",
-)
 
 BEST_KERNEL = "best_over_kernels"
 MEAN_KERNEL = "mean_over_kernels"
@@ -85,6 +70,9 @@ class ResultRow:
     kernel_order: int = 0
 
 
+CSV_COLUMNS = tuple(f.name for f in fields(ResultRow) if f.name != "kernel_order")
+
+
 @dataclass
 class ExperimentConfig:
     """Declarative description of one benchmark run (JSON on disk)."""
@@ -94,16 +82,16 @@ class ExperimentConfig:
     labels: str
     out_dir: str
     bank: Optional[str] = None
-    regularizers: tuple = ("low_rank", "sparse")
-    alphas: tuple = (0.1,)
-    betas: tuple = (0.1,)
-    gammas: tuple = (1.0,)
+    regularizers: tuple = REGULARIZERS
+    alphas: tuple = (SolverConfig.alpha,)
+    betas: tuple = (SolverConfig.beta,)
+    gammas: tuple = (DEFAULT_GAMMA,)
     fractions: tuple = (0.1, 0.3, 0.5)
-    repeats: int = 20
-    mu: float = 1.0
-    max_iter: int = 300
-    tol: float = 1e-5
-    seed: int = 0
+    repeats: int = DEFAULT_REPEATS
+    mu: float = SolverConfig.mu
+    max_iter: int = SolverConfig.max_iter
+    tol: float = SolverConfig.tol
+    seed: int = SolverConfig.seed
     save_z: bool = False
 
     def validate(self):
@@ -115,25 +103,22 @@ class ExperimentConfig:
                 raise ValueError(f"{key} must be a path, got {getattr(self, key)!r}")
         if self.bank is None:
             self.bank = "clustering12" if self.task == "clustering" else "ssl7"
+        bank_specs(self.bank)  # raises on an unknown bank
         self.regularizers = tuple(
             canonical_regularizer(r) for r in _items(self.regularizers, "regularizers")
         )
-        for r in self.regularizers:
-            if r not in REGULARIZERS:
-                raise ValueError(f"unknown regularizer {r!r}")
-        self.alphas = _grid(self.alphas, "alphas", lambda v: v >= 0)
-        self.betas = _grid(self.betas, "betas", lambda v: v > 0)
+        self.alphas = _grid(self.alphas, "alphas")
+        self.betas = _grid(self.betas, "betas")
         require_number("repeats", self.repeats, numbers.Integral)
         if self.task == "ssl":
-            self.gammas = _grid(self.gammas, "gammas", lambda v: v > 0)
-            self.fractions = _grid(
-                self.fractions, "fractions", lambda v: 0 < v < 1
-            )
-            if self.repeats < 1:
-                raise ValueError("repeats must be at least 1")
+            self.gammas = _grid(self.gammas, "gammas")
+            self.fractions = _grid(self.fractions, "fractions")
+            for gamma, fraction in itertools.product(self.gammas, self.fractions):
+                check_protocol(fraction, self.repeats, gamma)
         if not isinstance(self.save_z, bool):
             raise ValueError(f"save_z must be true or false, got {self.save_z!r}")
-        self.solver_config(self.regularizers[0], self.alphas[0], self.betas[0]).validate()
+        for cell in itertools.product(self.regularizers, self.alphas, self.betas):
+            self.solver_config(*cell).validate()
         return self
 
     def solver_config(self, regularizer, alpha, beta) -> SolverConfig:
@@ -148,11 +133,8 @@ def _items(values, name):
     return tuple(values)
 
 
-def _grid(values, name, ok):
-    vals = tuple(float(require_number(name, v)) for v in _items(values, name))
-    if not all(ok(v) for v in vals):
-        raise ValueError(f"{name} has an out-of-range value: {list(vals)}")
-    return vals
+def _grid(values, name):
+    return tuple(float(require_number(name, v)) for v in _items(values, name))
 
 
 def load_experiment_config(path) -> ExperimentConfig:
@@ -293,6 +275,11 @@ def run_experiment(config: ExperimentConfig):
     A cell yields one row per metric dict its task's step returns.
     Returns (rows in canonical order, info).
     """
+    workers = os.environ.get("SIMILEARN_WORKERS", "1")
+    try:
+        workers = max(1, int(workers))
+    except ValueError:
+        raise ValueError(f"SIMILEARN_WORKERS must be an integer, got {workers!r}") from None
     config.validate()
     out_dir = Path(config.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -336,7 +323,6 @@ def run_experiment(config: ExperimentConfig):
             failure = dict(where, error=f"{type(e).__name__}: {e}")
             return [ResultRow(**cell, converged=False)], failure
 
-    workers = max(1, int(os.environ.get("SIMILEARN_WORKERS", "1")))
     if workers == 1:
         results = [run_cell(j) for j in jobs]
     else:

@@ -21,16 +21,16 @@ FLOAT_FMT = "%.17g"
 def _records(f, path):
     """Yield ``(line, fields)`` for each non-blank CSV record of the open file ``f``.
 
-    ``line`` counts records, blank ones too: the file line unless a quoted field spans lines.
+    ``line`` is the physical file line on which the record ends.
     """
-    lineno = 0
+    reader = csv.reader(f)
     try:
-        for lineno, row in enumerate(csv.reader(f), start=1):
+        for row in reader:
             if row and not all(x.strip() == "" for x in row):
-                yield lineno, row
+                yield reader.line_num, row
     except csv.Error as e:
-        lineno += 1
-        raise DataFormatError(f"{path}: bad CSV on line {lineno}: {e}", line=lineno) from None
+        line = reader.line_num
+        raise DataFormatError(f"{path}: bad CSV on line {line}: {e}", line=line) from None
     except UnicodeDecodeError as e:
         raise DataFormatError(f"{path}: not {e.encoding} text: {e.reason}") from None
 

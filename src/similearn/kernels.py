@@ -26,8 +26,11 @@ from .errors import DegenerateKernelError
 # to zero; anything more negative indicates a broken kernel matrix.
 NEG_DIST_TOL = 1e-10
 
-GAUSSIAN_T_CLUSTERING = (0.01, 0.05, 0.1, 1.0, 10.0, 50.0, 100.0)
-GAUSSIAN_T_SSL = (0.1, 1.0, 10.0, 100.0)
+# bank name -> (gaussian t values, polynomial degrees b for a in {0, 1})
+BANKS = {
+    "clustering12": ((0.01, 0.05, 0.1, 1.0, 10.0, 50.0, 100.0), (2, 4)),
+    "ssl7": ((0.1, 1.0, 10.0, 100.0), (2,)),
+}
 
 
 @dataclass
@@ -182,19 +185,14 @@ def bank_specs(bank: str):
     polynomial); ``ssl7`` is the 7-kernel design (4 gaussian, 1 linear,
     2 polynomial).
     """
-    if bank == "clustering12":
-        specs = [KernelSpec("gaussian", t=t) for t in GAUSSIAN_T_CLUSTERING]
-        specs.append(KernelSpec("linear"))
-        specs += [
-            KernelSpec("polynomial", a=a, b=b) for a in (0, 1) for b in (2, 4)
-        ]
-        return specs
-    if bank == "ssl7":
-        specs = [KernelSpec("gaussian", t=t) for t in GAUSSIAN_T_SSL]
-        specs.append(KernelSpec("linear"))
-        specs += [KernelSpec("polynomial", a=a, b=2) for a in (0, 1)]
-        return specs
-    raise ValueError(f"unknown kernel bank {bank!r}")
+    if not isinstance(bank, str) or bank not in BANKS:
+        raise ValueError(f"unknown kernel bank {bank!r}")
+    ts, degrees = BANKS[bank]
+    return [
+        *(KernelSpec("gaussian", t=t) for t in ts),
+        KernelSpec("linear"),
+        *(KernelSpec("polynomial", a=a, b=b) for a in (0, 1) for b in degrees),
+    ]
 
 
 def build_kernel_bank(data: Dataset, bank: str):

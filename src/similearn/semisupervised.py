@@ -12,6 +12,7 @@ unlabeled samples only.
 """
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -19,6 +20,10 @@ from scipy.linalg import LinAlgError, cho_factor, cho_solve
 
 from .errors import LinearSolveError
 from .graph import build_graph, laplacian
+from .solver import require_number
+
+DEFAULT_REPEATS = 20
+DEFAULT_GAMMA = 1.0
 
 
 @dataclass
@@ -60,8 +65,7 @@ def lgc_propagate(L, Y, gamma, factor=None) -> PropagationResult:
     ``factor`` is an optional precomputed cho_factor of (L + gamma I);
     ssl_experiment shares one factorization across repeats.
     """
-    if gamma <= 0:
-        raise ValueError("gamma must be positive")
+    _check_gamma(gamma)
     Yv = Y.values if isinstance(Y, LabelMatrix) else np.asarray(Y, dtype=float)
     n = Yv.shape[0]
     if L.shape != (n, n):
@@ -77,6 +81,20 @@ def lgc_propagate(L, Y, gamma, factor=None) -> PropagationResult:
     return PropagationResult(scores=F, predictions=F.argmax(axis=1))
 
 
+def check_protocol(fraction, repeats, gamma):
+    """Raise ValueError unless fraction is in (0, 1), repeats an integer >= 1, gamma > 0."""
+    if not 0 < require_number("fraction", fraction) < 1:
+        raise ValueError(f"fraction must lie in (0, 1), got {fraction!r}")
+    if require_number("repeats", repeats, numbers.Integral) < 1:
+        raise ValueError(f"repeats must be at least 1, got {repeats!r}")
+    _check_gamma(gamma)
+
+
+def _check_gamma(gamma):
+    if require_number("gamma", gamma) <= 0:
+        raise ValueError(f"gamma must be positive, got {gamma!r}")
+
+
 def _class_indices(labels):
     """Indices per class; labels must be dense ids 0..c-1, every class nonempty."""
     labels = np.asarray(labels)
@@ -88,7 +106,9 @@ def _class_indices(labels):
     return groups, c
 
 
-def ssl_experiment(Z, labels, fraction, repeats=20, gamma=1.0, seed=0) -> SSLResult:
+def ssl_experiment(
+    Z, labels, fraction, repeats=DEFAULT_REPEATS, gamma=DEFAULT_GAMMA, seed=0
+) -> SSLResult:
     """Stratified label-propagation protocol over a learned Z.
 
     Parameters
@@ -99,10 +119,10 @@ def ssl_experiment(Z, labels, fraction, repeats=20, gamma=1.0, seed=0) -> SSLRes
         Ground-truth class ids 0..c-1.
     fraction : float in (0, 1)
         Per-class share of samples to label, rounded up to at least one.
-    repeats : int
+    repeats : int >= 1
         Number of random labeled sets; each gets its own rng spawned
         from the master seed.
-    gamma : float
+    gamma : float > 0
         LGC fitting weight.
 
     Returns
@@ -110,12 +130,9 @@ def ssl_experiment(Z, labels, fraction, repeats=20, gamma=1.0, seed=0) -> SSLRes
     SSLResult
         Mean and population std of accuracy on unlabeled samples.
     """
+    check_protocol(fraction, repeats, gamma)
     labels = np.asarray(labels)
     n = labels.shape[0]
-    if not 0 < fraction <= 1:
-        raise ValueError("fraction must lie in (0, 1]")
-    if repeats < 1:
-        raise ValueError("repeats must be at least 1")
     groups, c = _class_indices(labels)
     sizes = [max(1, math.ceil(fraction * g.size)) for g in groups]
     if sum(sizes) >= n:

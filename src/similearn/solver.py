@@ -19,6 +19,7 @@ The diagonal of Z is zeroed after every Z update, which keeps the
 constraint exact without touching the closed forms.
 """
 
+import math
 import numbers
 from dataclasses import dataclass, field
 
@@ -36,10 +37,13 @@ def canonical_regularizer(name):
 
 
 def require_number(name, value, kind=numbers.Real):
-    """Return value if it is a ``kind`` instance, else raise; bool never passes."""
+    """Return value if it is a finite ``kind`` instance, else raise; bool never passes."""
     if isinstance(value, bool) or not isinstance(value, kind):
         noun = "an integer" if kind is numbers.Integral else "a number"
         raise ValueError(f"{name} must be {noun}, got {value!r}")
+    # an int is finite, and math.isfinite overflows on a huge one
+    if not isinstance(value, numbers.Integral) and not math.isfinite(value):
+        raise ValueError(f"{name} must be finite, got {value!r}")
     return value
 
 
@@ -63,21 +67,17 @@ class SolverConfig:
     def validate(self):
         if self.regularizer not in REGULARIZERS:
             raise ValueError(f"regularizer must be one of {REGULARIZERS}")
-        for name in ("alpha", "beta", "mu", "tol"):
-            require_number(name, getattr(self, name))
-        for name in ("max_iter", "seed"):
-            require_number(name, getattr(self, name), numbers.Integral)
-        if self.alpha < 0:
+        if require_number("alpha", self.alpha) < 0:
             raise ValueError("alpha must be nonnegative")
-        if self.beta <= 0:
+        if require_number("beta", self.beta) <= 0:
             raise ValueError("beta must be positive")
-        if self.mu <= 0:
+        if require_number("mu", self.mu) <= 0:
             raise ValueError("mu must be positive")
-        if self.max_iter < 1:
+        if require_number("max_iter", self.max_iter, numbers.Integral) < 1:
             raise ValueError("max_iter must be at least 1")
-        if self.tol <= 0:
+        if require_number("tol", self.tol) <= 0:
             raise ValueError("tol must be positive")
-        if self.seed < 0:
+        if require_number("seed", self.seed, numbers.Integral) < 0:
             raise ValueError("seed must be nonnegative")
 
 

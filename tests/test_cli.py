@@ -1,12 +1,14 @@
 import json
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
 from conftest import two_blobs
 from similearn import harness
-from similearn.cli import main
+from similearn.cli import build_parser, main
 from similearn.io import read_matrix, write_labels, write_matrix
+from similearn.solver import SolverConfig
 
 
 @pytest.fixture
@@ -151,6 +153,9 @@ def write_config(tmp_path, fp, lp, over=None):
         {"regularizers": 5},
         {"dataset": None},
         5,
+        {"alphas": [float("inf")]},
+        {"bank": "nope"},
+        {"task": "ssl", "fractions": [1.0]},
     ],
 )
 def test_benchmark_rejects_malformed_config(tmp_path, blob_files, capsys, over):
@@ -197,6 +202,31 @@ def test_cli_reports_data_errors(tmp_path, capsys):
     rc = main(["learn", "--kernel", str(bad), "--reg", "sparse", "--out", str(tmp_path / "z.csv")])
     assert rc == 2
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "flag, value",
+    [("--tol", "nan"), ("--tol", "inf"), ("--beta", "inf"), ("--alpha", "nan"), ("--mu", "inf")],
+)
+def test_learn_rejects_non_finite_numbers(tmp_path, capsys, flag, value):
+    k = tmp_path / "k.csv"
+    write_matrix(k, np.eye(3))
+    out = tmp_path / "z.csv"
+    rc = main(["learn", "--kernel", str(k), "--reg", "sparse", flag, value, "--out", str(out)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert "finite" in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
+def test_learn_flag_defaults_are_solver_defaults():
+    args = build_parser().parse_args(["learn", "--kernel", "k", "--reg", "lowrank", "--out", "z"])
+    assert args.regularizer == "low_rank"
+    for f in fields(SolverConfig):
+        if f.name != "regularizer":
+            assert getattr(args, f.name) == getattr(SolverConfig(), f.name), f.name
 
 
 @pytest.mark.parametrize(

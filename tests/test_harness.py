@@ -1,4 +1,6 @@
 import json
+from dataclasses import MISSING, fields
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -103,6 +105,17 @@ def test_config_validation_errors(tmp_path):
         dict(save_z="no"),
         dict(labels=None),
         dict(task="ssl", labels=None),
+        dict(alphas=[float("inf")]),
+        dict(betas=[0.1, float("nan")]),
+        dict(alphas=[0.1, -1.0]),
+        dict(regularizers=["sparse", "ridge"]),
+        dict(tol=float("inf")),
+        dict(mu=float("nan")),
+        dict(bank="clustering7"),
+        dict(task="ssl", gammas=[float("inf")]),
+        dict(task="ssl", gammas=[1.0, 0.0]),
+        dict(task="ssl", fractions=[1.0]),
+        dict(task="ssl", repeats=0),
     ):
         with pytest.raises(ValueError):
             small_config(tmp_path, **bad)
@@ -308,3 +321,35 @@ def test_benchmark_end_to_end_deterministic(tmp_path):
     assert a == b
     manifest = json.loads((tmp_path / "out_a" / "manifest.json").read_text())
     assert manifest["n_cells"] == 12
+
+
+def test_workers_variable_checked_before_reading_data(tmp_path, monkeypatch):
+    cfg = small_config(tmp_path, dataset=str(tmp_path / "missing.csv"))
+    monkeypatch.setenv("SIMILEARN_WORKERS", "abc")
+    with pytest.raises(ValueError, match="SIMILEARN_WORKERS"):
+        run_experiment(cfg)
+
+
+def _readme_config_table():
+    """(key, default cell) rows of the README's "Benchmark configs" table."""
+    text = (Path(__file__).parents[1] / "README.md").read_text()
+    section = text.split("## Benchmark configs", 1)[1].split("\n#", 1)[0]
+    rows = []
+    for line in section.splitlines():
+        cells = [c.strip() for c in line.strip().strip("|").split("|")]
+        if line.startswith("|") and cells[0].startswith("`"):
+            rows.append((cells[0].strip("`"), cells[1]))
+    return rows
+
+
+def test_readme_config_table_matches_schema():
+    rows = _readme_config_table()
+    assert [key for key, _ in rows] == [f.name for f in fields(ExperimentConfig)]
+    for f, (_, cell) in zip(fields(ExperimentConfig), rows):
+        if f.default is MISSING:
+            assert cell == "required", f.name
+        elif cell.startswith("`"):
+            default = list(f.default) if isinstance(f.default, tuple) else f.default
+            assert json.loads(cell.strip("`")) == default, f.name
+        else:
+            assert f.default is None, f.name

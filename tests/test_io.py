@@ -154,6 +154,14 @@ def test_matrix_reports_first_bad_line(tmp_path):
     assert err.value.line == 2
 
 
+def test_matrix_reports_physical_line_after_multiline_field(tmp_path):
+    p = tmp_path / "m.csv"
+    p.write_text('"1\n",2\n3,x\n')
+    with pytest.raises(DataFormatError, match="line 3") as err:
+        read_matrix(p)
+    assert err.value.line == 3
+
+
 def test_matrix_empty_file(tmp_path):
     p = tmp_path / "m.csv"
     p.write_text("")

@@ -154,3 +154,11 @@ def test_ssl_input_validation():
         ssl_experiment(Z, labels, fraction=0.0)
     with pytest.raises(ValueError):
         ssl_experiment(Z, labels, fraction=0.5, repeats=0)
+
+
+@pytest.mark.parametrize("gamma", [-1.0, 0.0, float("nan")])
+def test_ssl_checks_gamma_before_factoring(gamma):
+    Z = two_block_z(n_per=4)
+    labels = np.repeat([0, 1], 4)
+    with pytest.raises(ValueError, match="gamma"):
+        ssl_experiment(Z, labels, fraction=0.5, gamma=gamma)

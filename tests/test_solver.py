@@ -338,6 +338,11 @@ def test_solver_config_validation():
         dict(mu=0.0),
         dict(max_iter=0),
         dict(tol=0.0),
+        dict(alpha=float("nan")),
+        dict(beta=float("inf")),
+        dict(mu=float("inf")),
+        dict(tol=float("nan")),
+        dict(tol=float("inf")),
     ):
         with pytest.raises(ValueError):
             SolverConfig(**bad).validate()

@@ -134,7 +134,10 @@ def _items(values, name):
 
 
 def _grid(values, name):
-    return tuple(float(require_number(name, v)) for v in _items(values, name))
+    try:
+        return tuple(float(require_number(name, v)) for v in _items(values, name))
+    except OverflowError:  # float() of an integer beyond the float range
+        raise ValueError(f"{name} must be finite, got an integer beyond float range") from None
 
 
 def load_experiment_config(path) -> ExperimentConfig:
@@ -310,7 +313,8 @@ def run_experiment(config: ExperimentConfig):
         where = dict(kernel=km.spec.name, regularizer=reg, alpha=alpha, beta=beta)
         cell = dict(where, dataset=dataset_name, kernel_order=order)
         try:
-            coeff, _ = solve(km.values, config.solver_config(reg, alpha, beta))
+            cfg = config.solver_config(reg, alpha, beta)
+            coeff, _ = solve(km.values, cfg, trace_objective=False)
             if config.save_z:
                 write_matrix(
                     _z_path(out_dir, km.spec.name, reg, alpha, beta), coeff.values

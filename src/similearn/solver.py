@@ -17,6 +17,18 @@ fixed penalty mu:
 
 The diagonal of Z is zeroed after every Z update, which keeps the
 constraint exact without touching the closed forms.
+
+The low-rank Z step thresholds singular values without an SVD. With
+D = U diag(s) V', D D' = U diag(s^2) U', so one symmetric
+eigendecomposition of D D' gives U and s, and V' rows follow as
+diag(1/s) U'D. The threshold U max(s - tau, 0) V' therefore equals
+
+    sum over s_k > tau of (1 - tau / s_k) u_k (u_k' D),
+
+which never divides by a singular value at or below tau. Forming D D'
+squares the spread of the singular values, so a singular value near
+tau is resolved to about eps ||D||^2 / tau; when ||D||_2 / tau exceeds
+_GRAM_RATIO the threshold falls back to the SVD.
 """
 
 import math
@@ -24,11 +36,16 @@ import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import LinAlgError, cho_factor, cho_solve
+from scipy.linalg import LinAlgError, cho_factor
+from scipy.linalg.lapack import dposv, dpotrs
 
 from .errors import DivergenceError, LinearSolveError
 
 REGULARIZERS = ("low_rank", "sparse")
+
+# prox_nuclear's eigh(D D') form errs by about eps ||D||_2^2 / tau, so up
+# to this ratio of ||D||_2 to tau it stays within ~1e-13 ||D||_2
+_GRAM_RATIO = 500.0
 
 
 def canonical_regularizer(name):
@@ -86,7 +103,8 @@ class SolverState:
     """How a solve ended, plus per-iteration diagnostics.
 
     residuals[k] holds (||J-Z||_F, ||W-Z||_F, ||H-Z||_F) after
-    iteration k's Z update; objective[k] the full objective at that Z.
+    iteration k's Z update; objective[k] the full objective at that Z,
+    or objective is empty when solve ran with trace_objective=False.
     The learned Z itself is returned as the CoefficientMatrix.
     """
 
@@ -111,9 +129,22 @@ def prox_l1(D, tau):
 
 
 def prox_nuclear(D, tau):
-    """Singular value threshold: argmin_X tau ||X||_* + 1/2 ||X - D||_F^2."""
-    U, s, Vt = np.linalg.svd(D, full_matrices=False)
-    return (U * np.maximum(s - tau, 0.0)) @ Vt
+    """Singular value threshold: argmin_X tau ||X||_* + 1/2 ||X - D||_F^2.
+
+    Computed from eigh(D D') as the module docstring explains. Raises
+    DivergenceError on a non-finite D, which would otherwise lose its
+    NaN eigenvalues to the threshold and come back as zeros.
+    """
+    if not np.all(np.isfinite(D)):
+        raise DivergenceError("prox_nuclear: D has non-finite entries")
+    lam, U = np.linalg.eigh(D @ D.T)
+    s = np.sqrt(np.maximum(lam, 0.0))
+    if s[-1] > _GRAM_RATIO * tau:
+        U, s, Vt = np.linalg.svd(D, full_matrices=False)
+        return (U * np.maximum(s - tau, 0.0)) @ Vt
+    keep = s > tau
+    Uk = U[:, keep]
+    return (Uk * (1.0 - tau / s[keep])) @ (Uk.T @ D)
 
 
 def _factor_spd(A, message):
@@ -126,9 +157,16 @@ def _factor_spd(A, message):
 
 
 def _solve_spd(A, B, what):
-    """Solve A X = B for symmetric positive definite A via Cholesky."""
-    msg = f"{what}: left-hand side is not positive definite (cond ~ {{cond}}); increase mu"
-    return cho_solve(_factor_spd(A, msg), B)
+    """Solve A X = B for symmetric positive definite A via Cholesky.
+
+    One LAPACK dposv call; its inputs come from iterates the solve loop
+    has already checked for finiteness, so scipy's checks are skipped.
+    """
+    _, X, info = dposv(A, B)
+    if info > 0:  # A is not positive definite; _factor_spd raises with its cond
+        msg = f"{what}: left-hand side is not positive definite (cond ~ {{cond}}); increase mu"
+        _factor_spd(A, msg)
+    return X
 
 
 def update_j(K, Z, Y1, mu, factor):
@@ -137,25 +175,26 @@ def update_j(K, Z, Y1, mu, factor):
     ``factor`` is the cho_factor of (K + mu I); the solve loop reuses
     one factorization across iterations.
     """
-    return cho_solve(factor, K + mu * Z - Y1)
+    c, lower = factor
+    return dpotrs(c, K + mu * Z - Y1, lower=lower)[0]
 
 
 def update_w(K, H, Z, Y2, mu, alpha):
     """W = (2 alpha K H H'K' + mu I)^-1 (2 alpha K H K' + mu Z - Y2)."""
-    n = K.shape[0]
     KH = K @ H
-    A = 2.0 * alpha * KH @ KH.T + mu * np.eye(n)
-    rhs = 2.0 * alpha * KH @ K.T + mu * Z - Y2
-    return _solve_spd(A, rhs, "W update")
+    G = 2.0 * alpha * KH
+    A = G @ KH.T
+    A.flat[:: A.shape[0] + 1] += mu  # + mu I, without building I
+    return _solve_spd(A, G @ K.T + mu * Z - Y2, "W update")
 
 
 def update_h(K, W, Z, Y3, mu, alpha):
     """H = (2 alpha K'W W'K + mu I)^-1 (2 alpha K'W K + mu Z - Y3)."""
-    n = K.shape[0]
     KtW = K.T @ W
-    A = 2.0 * alpha * KtW @ KtW.T + mu * np.eye(n)
-    rhs = 2.0 * alpha * KtW @ K + mu * Z - Y3
-    return _solve_spd(A, rhs, "H update")
+    G = 2.0 * alpha * KtW
+    A = G @ KtW.T
+    A.flat[:: A.shape[0] + 1] += mu
+    return _solve_spd(A, G @ K + mu * Z - Y3, "H update")
 
 
 def update_z(J, W, H, Y1, Y2, Y3, mu, beta, regularizer):
@@ -223,7 +262,7 @@ def _check_finite(M, name, iteration):
         )
 
 
-def solve(K, config: SolverConfig):
+def solve(K, config: SolverConfig, *, trace_objective=True):
     """Run ADMM to convergence or the iteration cap.
 
     Parameters
@@ -231,6 +270,11 @@ def solve(K, config: SolverConfig):
     K : ndarray of shape (n, n)
         Symmetric kernel matrix (normalized or not).
     config : SolverConfig
+    trace_objective : bool
+        Record the full objective after every iteration in
+        ``state.objective``. It costs a pass over Z per iteration (an SVD
+        for ``low_rank``) and changes nothing else; when False,
+        ``state.objective`` stays empty.
 
     Returns
     -------
@@ -296,9 +340,10 @@ def solve(K, config: SolverConfig):
                 float(np.linalg.norm(H - Z, "fro")),
             )
         )
-        state.objective.append(
-            float(evaluate_objective(K, Z, alpha, beta, config.regularizer))
-        )
+        if trace_objective:
+            state.objective.append(
+                float(evaluate_objective(K, Z, alpha, beta, config.regularizer))
+            )
         state.rel_change = float(rel)
         if rel < config.tol:
             converged = True

@@ -156,6 +156,7 @@ def write_config(tmp_path, fp, lp, over=None):
         {"alphas": [float("inf")]},
         {"bank": "nope"},
         {"task": "ssl", "fractions": [1.0]},
+        {"alphas": [10**400]},
     ],
 )
 def test_benchmark_rejects_malformed_config(tmp_path, blob_files, capsys, over):

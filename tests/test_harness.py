@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from conftest import two_blobs
+from similearn import solver
 from similearn.graph import cluster
 from similearn.harness import (
     BEST_KERNEL,
@@ -116,6 +117,7 @@ def test_config_validation_errors(tmp_path):
         dict(task="ssl", gammas=[1.0, 0.0]),
         dict(task="ssl", fractions=[1.0]),
         dict(task="ssl", repeats=0),
+        dict(alphas=[10**400]),
     ):
         with pytest.raises(ValueError):
             small_config(tmp_path, **bad)
@@ -206,6 +208,16 @@ def test_grid_deterministic_and_worker_invariant(tmp_path, monkeypatch):
     monkeypatch.setenv("SIMILEARN_WORKERS", "3")
     b = rows_to_csv(run_experiment(cfg)[0])
     assert a == b
+
+
+def test_grid_cells_skip_the_objective_trace(tmp_path, monkeypatch):
+    def fail(*args, **kwargs):
+        raise AssertionError("evaluate_objective called")
+
+    monkeypatch.setattr(solver, "evaluate_objective", fail)
+    _, info = run_experiment(small_config(tmp_path))
+    assert info["n_cells"] == 24
+    assert info["n_failed"] == 0
 
 
 def test_save_z_roundtrip(tmp_path):

@@ -1,9 +1,14 @@
+import re
+
 import numpy as np
 import pytest
-from scipy.linalg import cho_factor
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.linalg import LinAlgError, cho_factor
 
 from conftest import random_psd_kernel
-from similearn.errors import LinearSolveError
+from similearn import solver as solver_module
+from similearn.errors import DivergenceError, LinearSolveError
 from similearn.solver import (
     CoefficientMatrix,
     SolverConfig,
@@ -24,6 +29,68 @@ from similearn.solver import (
 
 
 # ---------------------------------------------------------------- prox
+
+
+def _reference_prox_nuclear(D, tau):
+    """The SVD form prox_nuclear replaced; prox_nuclear must agree with it."""
+    U, s, Vt = np.linalg.svd(D, full_matrices=False)
+    return (U * np.maximum(s - tau, 0.0)) @ Vt
+
+
+@st.composite
+def prox_cases(draw):
+    """(D, tau): D = U diag(s) V' with singular values drawn from a few levels.
+
+    Levels are zero, tau itself, tau within 1e-3, and up to 1e7 tau, so
+    D can be zero, rank-deficient, have repeated singular values, or
+    have a singular value at the threshold.
+    """
+    n = draw(st.integers(1, 12))
+    tau = 10.0 ** draw(st.floats(-3, 3))
+    top = tau * 10.0 ** draw(st.floats(0, 7))
+    level = st.one_of(
+        st.just(0.0),
+        st.just(tau),
+        st.just(top),
+        st.floats(1 - 1e-3, 1 + 1e-3).map(lambda f: f * tau),
+        st.floats(0, 1).map(lambda f: f * top),
+    )
+    levels = draw(st.lists(level, min_size=1, max_size=4))
+    s = np.array(draw(st.lists(st.sampled_from(levels), min_size=n, max_size=n)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    U, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    V, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    return (U * s) @ V.T, tau
+
+
+@settings(max_examples=400, deadline=None)
+@given(prox_cases())
+def test_prox_nuclear_matches_svd_reference(case):
+    D, tau = case
+    got = prox_nuclear(D, tau)
+    want = _reference_prox_nuclear(D, tau)
+    bound = 1e-12 * max(1.0, np.linalg.norm(D, 2))
+    assert np.abs(got - want).max() <= bound
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_prox_nuclear_rejects_non_finite(bad):
+    D = np.eye(3)
+    D[0, 1] = bad
+    with pytest.raises(DivergenceError):
+        prox_nuclear(D, 0.1)
+
+
+@pytest.mark.parametrize("reg", ["low_rank", "sparse"])
+def test_solve_never_thresholds_non_finite_d_to_zero(rng, monkeypatch, reg):
+    # finite J, W and H whose average overflows: D is inf in the Z step
+    def huge(K, *args):
+        return np.full(K.shape, 1e308)
+
+    for name in ("update_j", "update_w", "update_h"):
+        monkeypatch.setattr(solver_module, name, huge)
+    with np.errstate(over="ignore"), pytest.raises(DivergenceError):
+        solve(random_psd_kernel(5, rng), SolverConfig(regularizer=reg, max_iter=3))
 
 
 def test_prox_nuclear_diagonal_case():
@@ -160,6 +227,16 @@ def test_update_plug_back_residuals(rng):
     assert np.linalg.norm(r, "fro") <= 1e-10
 
 
+def test_update_w_h_report_non_positive_definite_systems():
+    # mu < 0 with alpha = 0 leaves mu I as the left-hand side
+    Zero = np.zeros((2, 2))
+    msg = "left-hand side is not positive definite (cond ~ 1.000e+00); increase mu"
+    for update, what in ((update_w, "W update"), (update_h, "H update")):
+        with pytest.raises(LinearSolveError, match=re.escape(f"{what}: {msg}")) as e:
+            update(np.eye(2), np.eye(2), Zero, Zero, mu=-1.0, alpha=0.0)
+        assert e.value.cond == 1.0
+
+
 def test_update_z_averaging_identity(rng):
     D0 = rng.standard_normal((4, 4))
     Zero = np.zeros((4, 4))
@@ -279,6 +356,56 @@ def test_solve_zero_diagonal_and_shapes(rng):
     assert np.all(np.isfinite(coeff.values))
     assert len(state.residuals) == state.iterations
     assert len(state.objective) == state.iterations
+
+
+@pytest.mark.parametrize("reg", ["low_rank", "sparse"])
+def test_solve_without_objective_trace_is_otherwise_identical(rng, reg):
+    K = random_psd_kernel(8, rng)
+    cfg = SolverConfig(regularizer=reg, max_iter=40, seed=2)
+    a, sa = solve(K, cfg)
+    b, sb = solve(K, cfg, trace_objective=False)
+    assert np.array_equal(a.values, b.values)
+    assert (a.iterations, a.converged) == (b.iterations, b.converged)
+    assert sa.residuals == sb.residuals
+    assert sa.rel_change == sb.rel_change
+    assert len(sa.objective) == sa.iterations
+    assert sb.objective == []
+
+
+@st.composite
+def small_kernels(draw):
+    """Symmetric kernels, n in 2..8: PSD, rank-deficient (zero included) or indefinite."""
+    n = draw(st.integers(2, 8))
+    kind = draw(st.sampled_from(["psd", "rank_deficient", "indefinite"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if kind == "indefinite":
+        B = rng.standard_normal((n, n))
+        K = B + B.T
+    else:
+        A = rng.standard_normal((n, n if kind == "psd" else draw(st.integers(0, n - 1))))
+        K = A @ A.T
+        K = K + K.T
+    return K * 10.0 ** draw(st.floats(-3, 3))
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    small_kernels(),
+    st.sampled_from(["low_rank", "sparse"]),
+    st.floats(0, 1),
+    st.floats(1e-3, 10),
+    st.floats(1e-2, 10),
+    st.integers(1, 10),
+)
+def test_solve_returns_valid_z_or_typed_error(K, reg, alpha, beta, mu, max_iter):
+    cfg = SolverConfig(regularizer=reg, alpha=alpha, beta=beta, mu=mu, max_iter=max_iter)
+    try:
+        coeff, _ = solve(K, cfg)
+    except (LinearSolveError, DivergenceError, ValueError) as e:
+        assert not isinstance(e, LinAlgError), repr(e)
+        return
+    assert np.all(np.isfinite(coeff.values))
+    assert np.all(np.diag(coeff.values) == 0.0)
 
 
 def test_solve_deterministic(rng):

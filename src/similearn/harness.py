@@ -141,16 +141,20 @@ def _grid(values, name):
 
 
 def load_experiment_config(path) -> ExperimentConfig:
+    """Read and validate a JSON config; every error message starts with ``path``."""
     raw = read_json(path)
-    if not isinstance(raw, dict):
-        raise ValueError(f"{path}: config must be a JSON object")
-    unknown = set(raw) - set(ExperimentConfig.__dataclass_fields__)
-    if unknown:
-        raise ValueError(f"unknown config keys: {sorted(unknown)}")
-    for key in ("task", "dataset", "labels", "out_dir"):
-        if key not in raw:
-            raise ValueError(f"config is missing required key {key!r}")
-    return ExperimentConfig(**raw).validate()
+    try:
+        if not isinstance(raw, dict):
+            raise ValueError("config must be a JSON object")
+        unknown = set(raw) - set(ExperimentConfig.__dataclass_fields__)
+        if unknown:
+            raise ValueError(f"unknown config keys: {sorted(unknown)}")
+        for key in ("task", "dataset", "labels", "out_dir"):
+            if key not in raw:
+                raise ValueError(f"config is missing required key {key!r}")
+        return ExperimentConfig(**raw).validate()
+    except ValueError as e:
+        raise ValueError(f"{path}: {e}") from None
 
 
 def load_dataset(path, labels_path=None) -> Dataset:

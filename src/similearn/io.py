@@ -87,8 +87,14 @@ def write_labels(path, labels):
 
 
 def read_json(path):
+    """Parse a JSON file; bad JSON or undecodable bytes raise DataFormatError naming it."""
     with open(path) as f:
-        return json.load(f)
+        try:
+            return json.load(f)
+        except json.JSONDecodeError as e:
+            raise DataFormatError(f"{path}: not valid JSON: {e}", line=e.lineno) from None
+        except UnicodeDecodeError as e:
+            raise DataFormatError(f"{path}: not {e.encoding} text: {e.reason}") from None
 
 
 def write_json(path, obj):

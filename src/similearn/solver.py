@@ -118,7 +118,6 @@ class SolverState:
 @dataclass
 class CoefficientMatrix:
     values: np.ndarray
-    regularizer: str
     converged: bool
     iterations: int
 
@@ -209,11 +208,6 @@ def update_z(J, W, H, Y1, Y2, Y3, mu, beta, regularizer):
     return Z
 
 
-def update_multipliers(Y1, Y2, Y3, J, W, H, Z, mu):
-    """Dual ascent: Y_i += mu * (split residual)."""
-    return Y1 + mu * (J - Z), Y2 + mu * (W - Z), Y3 + mu * (H - Z)
-
-
 def smooth_objective(K, Z, alpha):
     """The differentiable part: 1/2 Tr(K - 2KZ + Z'KZ) + alpha ||K - Z'KZ||_F^2."""
     KZ = K @ Z
@@ -302,9 +296,7 @@ def solve(K, config: SolverConfig, *, trace_objective=True):
     rng = np.random.default_rng(config.seed)
     Z = rng.uniform(0.0, 1.0 / n, size=(n, n))
     H = rng.uniform(0.0, 1.0 / n, size=(n, n))
-    Y1 = np.zeros((n, n))
-    Y2 = np.zeros((n, n))
-    Y3 = np.zeros((n, n))
+    Y = [np.zeros((n, n)) for _ in range(3)]  # the multipliers Y1, Y2, Y3
     mu, alpha, beta = config.mu, config.alpha, config.beta
 
     # (K + mu I) never changes; factor it once for every J update
@@ -317,29 +309,32 @@ def solve(K, config: SolverConfig, *, trace_objective=True):
     state = SolverState()
     converged = False
     it = 0
+    z_norm = np.linalg.norm(Z, "fro")
     for it in range(1, config.max_iter + 1):
-        J = update_j(K, Z, Y1, mu, j_factor)
+        J = update_j(K, Z, Y[0], mu, j_factor)
         _check_finite(J, "J", it)
-        W = update_w(K, H, Z, Y2, mu, alpha)
+        W = update_w(K, H, Z, Y[1], mu, alpha)
         _check_finite(W, "W", it)
-        H = update_h(K, W, Z, Y3, mu, alpha)
+        H = update_h(K, W, Z, Y[2], mu, alpha)
         _check_finite(H, "H", it)
 
         Z_prev = Z
-        Z = update_z(J, W, H, Y1, Y2, Y3, mu, beta, config.regularizer)
+        Z = update_z(J, W, H, *Y, mu, beta, config.regularizer)
         _check_finite(Z, "Z", it)
-        Y1, Y2, Y3 = update_multipliers(Y1, Y2, Y3, J, W, H, Z, mu)
 
-        rel = np.linalg.norm(Z - Z_prev, "fro") / max(
-            np.linalg.norm(Z_prev, "fro"), 1e-12
-        )
-        state.residuals.append(
-            (
-                float(np.linalg.norm(J - Z, "fro")),
-                float(np.linalg.norm(W - Z, "fro")),
-                float(np.linalg.norm(H - Z, "fro")),
-            )
-        )
+        # each split difference R feeds its multiplier and its residual norm;
+        # one R at a time, dropped after, so the loop holds no extra n x n array
+        res = []
+        for i, X in enumerate((J, W, H)):
+            R = X - Z
+            Y[i] = Y[i] + mu * R
+            res.append(float(np.linalg.norm(R, "fro")))
+        del R
+        state.residuals.append(tuple(res))
+
+        # ||Z||_F is carried into the next iteration as its ||Z_prev||_F
+        z_prev_norm, z_norm = z_norm, np.linalg.norm(Z, "fro")
+        rel = np.linalg.norm(Z - Z_prev, "fro") / max(z_prev_norm, 1e-12)
         if trace_objective:
             state.objective.append(
                 float(evaluate_objective(K, Z, alpha, beta, config.regularizer))
@@ -351,13 +346,7 @@ def solve(K, config: SolverConfig, *, trace_objective=True):
 
     state.iterations = it
     state.converged = converged
-    coeff = CoefficientMatrix(
-        values=Z,
-        regularizer=config.regularizer,
-        converged=converged,
-        iterations=it,
-    )
-    return coeff, state
+    return CoefficientMatrix(values=Z, converged=converged, iterations=it), state
 
 
 def diagnostics_dict(state: SolverState):

@@ -163,9 +163,29 @@ def test_benchmark_rejects_malformed_config(tmp_path, blob_files, capsys, over):
     p = write_config(tmp_path, *blob_files, over)
     assert main(["benchmark", "--config", str(p)]) == 2
     err = capsys.readouterr().err
-    assert err.startswith("error:")
+    assert err.startswith(f"error: {p}: ")
     assert "Traceback" not in err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "content, detail",
+    [
+        (b"{bad", "not valid JSON: Expecting property name"),
+        (b"\xff\xfe{}", "text"),
+        (b'{"task": "clustering", "typo_key": 1}', "unknown config keys: ['typo_key']"),
+        (b'{"task": "clustering"}', "config is missing required key 'dataset'"),
+    ],
+    ids=["bad_json", "binary", "unknown_key", "missing_key"],
+)
+def test_benchmark_config_errors_name_the_file(tmp_path, capsys, content, detail):
+    p = tmp_path / "bad.json"
+    p.write_bytes(content)
+    assert main(["benchmark", "--config", str(p)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {p}: ")
+    assert detail in err
+    assert "Traceback" not in err
 
 
 @pytest.mark.parametrize("broken", ["solve", "compute_kernel"])

@@ -9,10 +9,10 @@ from scipy.linalg import LinAlgError, cho_factor
 from conftest import random_psd_kernel
 from similearn import solver as solver_module
 from similearn.errors import DivergenceError, LinearSolveError
+from similearn.graph import cluster
+from similearn.kernels import Dataset, build_kernel_bank
 from similearn.solver import (
-    CoefficientMatrix,
     SolverConfig,
-    SolverState,
     diagnostics_dict,
     evaluate_objective,
     prox_l1,
@@ -22,7 +22,6 @@ from similearn.solver import (
     solve,
     update_h,
     update_j,
-    update_multipliers,
     update_w,
     update_z,
 )
@@ -275,23 +274,6 @@ def test_update_z_sparse_matches_scalar_grid_search(rng):
             assert abs(Z[i, j] - best) <= 1e-4
 
 
-def test_update_multipliers():
-    I = np.eye(3)
-    Zero = np.zeros((3, 3))
-    # zero residual leaves multipliers alone
-    y1, y2, y3 = update_multipliers(I, I, I, I, I, I, I, mu=2.0)
-    np.testing.assert_allclose(y1, I)
-    np.testing.assert_allclose(y2, I)
-    np.testing.assert_allclose(y3, I)
-    # Z=0, J=I, mu=1 -> Y1 becomes I
-    y1, _, _ = update_multipliers(Zero, Zero, Zero, I, Zero, Zero, Zero, mu=1.0)
-    np.testing.assert_allclose(y1, I)
-    # linearity: two calls double the increment
-    y1a, _, _ = update_multipliers(Zero, Zero, Zero, I, I, I, Zero, mu=1.0)
-    y1b, _, _ = update_multipliers(y1a, Zero, Zero, I, I, I, Zero, mu=1.0)
-    np.testing.assert_allclose(y1b, 2 * y1a)
-
-
 # ----------------------------------------------------------- objective
 
 
@@ -370,6 +352,94 @@ def test_solve_without_objective_trace_is_otherwise_identical(rng, reg):
     assert sa.rel_change == sb.rel_change
     assert len(sa.objective) == sa.iterations
     assert sb.objective == []
+
+
+def _reference_solve(K, config, trace_objective=True):
+    """The solve loop as it stood with a separate multiplier step; solve must equal it.
+
+    It recomputes J - Z, W - Z and H - Z for the residual norms and takes
+    ||Z_prev||_F afresh each iteration. Returns (Z, residuals, objective,
+    rel_change, iterations, converged).
+    """
+    n = K.shape[0]
+    rng = np.random.default_rng(config.seed)
+    Z = rng.uniform(0.0, 1.0 / n, size=(n, n))
+    H = rng.uniform(0.0, 1.0 / n, size=(n, n))
+    Y1, Y2, Y3 = np.zeros((n, n)), np.zeros((n, n)), np.zeros((n, n))
+    mu, alpha, beta, reg = config.mu, config.alpha, config.beta, config.regularizer
+    factor = cho_factor(K + mu * np.eye(n))
+    residuals, objective = [], []
+    rel, converged, it = np.inf, False, 0
+
+    def check(M, name):
+        if not np.all(np.isfinite(M)):
+            raise DivergenceError(f"{name} became non-finite at iteration {it}", iteration=it)
+
+    for it in range(1, config.max_iter + 1):
+        J = solver_module.update_j(K, Z, Y1, mu, factor)
+        check(J, "J")
+        W = solver_module.update_w(K, H, Z, Y2, mu, alpha)
+        check(W, "W")
+        H = solver_module.update_h(K, W, Z, Y3, mu, alpha)
+        check(H, "H")
+        Z_prev = Z
+        Z = update_z(J, W, H, Y1, Y2, Y3, mu, beta, reg)
+        check(Z, "Z")
+        Y1, Y2, Y3 = Y1 + mu * (J - Z), Y2 + mu * (W - Z), Y3 + mu * (H - Z)
+        rel = np.linalg.norm(Z - Z_prev, "fro") / max(np.linalg.norm(Z_prev, "fro"), 1e-12)
+        residuals.append(
+            (
+                float(np.linalg.norm(J - Z, "fro")),
+                float(np.linalg.norm(W - Z, "fro")),
+                float(np.linalg.norm(H - Z, "fro")),
+            )
+        )
+        if trace_objective:
+            objective.append(float(evaluate_objective(K, Z, alpha, beta, reg)))
+        if rel < config.tol:
+            converged = True
+            break
+    return Z, residuals, objective, float(rel), it, converged
+
+
+@pytest.mark.parametrize("trace", [True, False])
+@pytest.mark.parametrize("reg", ["low_rank", "sparse"])
+@pytest.mark.parametrize("max_iter, tol", [(15, 1e-5), (300, 1e-3)], ids=["capped", "converging"])
+def test_solve_matches_reference_loop(rng, reg, trace, max_iter, tol):
+    K = random_psd_kernel(12, rng)
+    cfg = SolverConfig(regularizer=reg, max_iter=max_iter, tol=tol, seed=4)
+    coeff, state = solve(K, cfg, trace_objective=trace)
+    Z, residuals, objective, rel, iterations, converged = _reference_solve(K, cfg, trace)
+    assert converged == (max_iter == 300)
+    assert coeff.values.tobytes() == Z.tobytes()
+    assert state.residuals == residuals
+    assert state.objective == objective
+    assert state.rel_change == rel
+    assert state.iterations == coeff.iterations == iterations
+    assert state.converged == coeff.converged == converged
+
+
+@pytest.mark.parametrize("reg", ["low_rank", "sparse"])
+def test_solve_diverges_like_reference_loop(rng, monkeypatch, reg):
+    # the third J overflows, so each loop must stop at its third iteration
+    real_update_j = solver_module.update_j
+    calls = []
+
+    def overflowing(*args):
+        calls.append(None)
+        J = real_update_j(*args)
+        return J * 1e308 * 10.0 if len(calls) % 3 == 0 else J
+
+    monkeypatch.setattr(solver_module, "update_j", overflowing)
+    K = random_psd_kernel(6, rng)
+    cfg = SolverConfig(regularizer=reg, max_iter=50, seed=1)
+    with np.errstate(over="ignore"):
+        with pytest.raises(DivergenceError) as want:
+            _reference_solve(K, cfg)
+        with pytest.raises(DivergenceError) as got:
+            solve(K, cfg)
+    assert str(got.value) == str(want.value) == "J became non-finite at iteration 3"
+    assert got.value.iteration == want.value.iteration == 3
 
 
 @st.composite
@@ -484,3 +554,32 @@ def test_diagnostics_dict_roundtrip(rng):
     }
     assert len(d["residuals"]) == d["iterations"]
     assert all(len(r) == 3 for r in d["residuals"])
+
+
+# -------------------------------------------------------- edge inputs
+
+
+@pytest.mark.parametrize("reg", ["low_rank", "sparse"])
+def test_duplicate_samples_solve_and_cluster_to_n_labels(reg):
+    # every sample twice; c = n must still give each sample its own label
+    X = np.random.default_rng(0).standard_normal((3, 2))
+    data = Dataset(features=np.vstack([X, X]))
+    for km in build_kernel_bank(data, "ssl7"):
+        coeff, _ = solve(km.values, SolverConfig(regularizer=reg))
+        assert np.all(np.isfinite(coeff.values)), km.spec
+        assert np.all(np.diag(coeff.values) == 0.0), km.spec
+        labels = cluster(coeff.values, 6, seed=0).assignments
+        assert len(set(labels.tolist())) == 6, km.spec
+
+
+@pytest.mark.parametrize("reg", ["low_rank", "sparse"])
+def test_two_samples_solve_and_cluster(reg):
+    data = Dataset(features=np.random.default_rng(1).standard_normal((2, 3)))
+    for km in build_kernel_bank(data, "clustering12"):
+        coeff, _ = solve(km.values, SolverConfig(regularizer=reg))
+        assert coeff.values.shape == (2, 2)
+        assert np.all(np.isfinite(coeff.values)), km.spec
+        assert np.all(np.diag(coeff.values) == 0.0), km.spec
+        for c in (1, 2):
+            labels = cluster(coeff.values, c, seed=0).assignments
+            assert len(set(labels.tolist())) == c, (km.spec, c)

@@ -16,9 +16,8 @@ from .kernels import (
     normalize_kernel,
 )
 from .solver import (
-    CoefficientMatrix,
     SolverConfig,
-    SolverState,
+    Solution,
     evaluate_objective,
     prox_l1,
     prox_nuclear,
@@ -35,9 +34,8 @@ __all__ = [
     "build_kernel_bank",
     "compute_kernel",
     "normalize_kernel",
-    "CoefficientMatrix",
     "SolverConfig",
-    "SolverState",
+    "Solution",
     "evaluate_objective",
     "prox_l1",
     "prox_nuclear",

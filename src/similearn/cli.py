@@ -62,13 +62,13 @@ def _cmd_kernels(args):
 def _cmd_learn(args):
     K = read_matrix(args.kernel)
     cfg = SolverConfig(**{f.name: getattr(args, f.name) for f in fields(SolverConfig)})
-    coeff, state = solve(K, cfg)
-    write_matrix(args.out, coeff.values)
+    sol = solve(K, cfg)
+    write_matrix(args.out, sol.Z)
     diag_path = args.diagnostics or str(Path(args.out).with_suffix("")) + ".diagnostics.json"
-    write_json(diag_path, diagnostics_dict(state))
+    write_json(diag_path, diagnostics_dict(sol))
     print(
-        f"converged={coeff.converged} iterations={coeff.iterations} "
-        f"rel_change={state.rel_change:.3e} -> {args.out}"
+        f"converged={sol.converged} iterations={sol.iterations} "
+        f"rel_change={sol.rel_change:.3e} -> {args.out}"
     )
     return 0
 
@@ -106,7 +106,7 @@ def _cmd_ssl(args):
     write_json(
         args.out,
         {
-            "fraction": res.fraction,
+            "fraction": args.fraction,
             "mean_acc": res.mean_acc,
             "std_acc": res.std_acc,
             "per_repeat": res.per_repeat,

@@ -28,7 +28,6 @@ class SpectralEmbedding:
 class ClusteringResult:
     assignments: np.ndarray
     inertia: float
-    seed: int
 
 
 def build_graph(Z: np.ndarray) -> SimilarityGraph:
@@ -124,9 +123,7 @@ def kmeans(X, c, seed, restarts=20, max_iter=300, tol=1e-6) -> ClusteringResult:
         assign, inertia = _lloyd(X, centers.copy(), max_iter, tol)
         if inertia < best_inertia:
             best_assign, best_inertia = assign, inertia
-    return ClusteringResult(
-        assignments=best_assign, inertia=best_inertia, seed=seed
-    )
+    return ClusteringResult(assignments=best_assign, inertia=best_inertia)
 
 
 def cluster(Z: np.ndarray, c: int, seed: int) -> ClusteringResult:

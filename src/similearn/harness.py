@@ -318,14 +318,12 @@ def run_experiment(config: ExperimentConfig):
         cell = dict(where, dataset=dataset_name, kernel_order=order)
         try:
             cfg = config.solver_config(reg, alpha, beta)
-            coeff, _ = solve(km.values, cfg, trace_objective=False)
+            sol = solve(km.values, cfg, trace_objective=False)
             if config.save_z:
-                write_matrix(
-                    _z_path(out_dir, km.spec.name, reg, alpha, beta), coeff.values
-                )
-            end = dict(converged=coeff.converged, iterations=coeff.iterations)
+                write_matrix(_z_path(out_dir, km.spec.name, reg, alpha, beta), sol.Z)
+            end = dict(converged=sol.converged, iterations=sol.iterations)
             return [
-                ResultRow(**cell, **m, **end) for m in metrics(coeff.values, data, config)
+                ResultRow(**cell, **m, **end) for m in metrics(sol.Z, data, config)
             ], None
         except Exception as e:
             failure = dict(where, error=f"{type(e).__name__}: {e}")

@@ -42,7 +42,6 @@ class PropagationResult:
 
 @dataclass
 class SSLResult:
-    fraction: float
     mean_acc: float
     std_acc: float
     per_repeat: list = field(default_factory=list)
@@ -71,14 +70,19 @@ def lgc_propagate(L, Y, gamma, factor=None) -> PropagationResult:
     if L.shape != (n, n):
         raise ValueError(f"shape mismatch: L {L.shape}, Y {Yv.shape}")
     if factor is None:
-        try:
-            factor = cho_factor(L + gamma * np.eye(n))
-        except LinAlgError as e:
-            raise LinearSolveError(
-                "L + gamma I is not positive definite; L must be a PSD Laplacian"
-            ) from e
+        factor = _lgc_factor(L, gamma)
     F = gamma * cho_solve(factor, Yv)
     return PropagationResult(scores=F, predictions=F.argmax(axis=1))
+
+
+def _lgc_factor(L, gamma):
+    """cho_factor of L + gamma I, else LinearSolveError."""
+    try:
+        return cho_factor(L + gamma * np.eye(L.shape[0]))
+    except LinAlgError as e:
+        raise LinearSolveError(
+            "L + gamma I is not positive definite; L must be a PSD Laplacian"
+        ) from e
 
 
 def check_protocol(fraction, repeats, gamma):
@@ -141,10 +145,7 @@ def ssl_experiment(
         )
 
     L = laplacian(build_graph(Z))
-    try:
-        factor = cho_factor(L + gamma * np.eye(n))
-    except LinAlgError as e:
-        raise LinearSolveError("L + gamma I is not positive definite") from e
+    factor = _lgc_factor(L, gamma)
 
     accs = []
     for ss in np.random.SeedSequence(seed).spawn(repeats):
@@ -157,7 +158,6 @@ def ssl_experiment(
         unlabeled = ~mask
         accs.append(float((pred[unlabeled] == labels[unlabeled]).mean()))
     return SSLResult(
-        fraction=fraction,
         mean_acc=float(np.mean(accs)),
         std_acc=float(np.std(accs)),
         per_repeat=accs,

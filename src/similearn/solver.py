@@ -28,12 +28,12 @@ diag(1/s) U'D. The threshold U max(s - tau, 0) V' therefore equals
 which never divides by a singular value at or below tau. Forming D D'
 squares the spread of the singular values, so a singular value near
 tau is resolved to about eps ||D||^2 / tau; when ||D||_2 / tau exceeds
-_GRAM_RATIO the threshold falls back to the SVD.
+_GRAM_RATIO, or D D' overflows, the threshold falls back to the SVD.
 """
 
 import math
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import LinAlgError, cho_factor
@@ -99,27 +99,22 @@ class SolverConfig:
 
 
 @dataclass
-class SolverState:
-    """How a solve ended, plus per-iteration diagnostics.
+class Solution:
+    """The learned Z and how the solve that produced it ended.
 
-    residuals[k] holds (||J-Z||_F, ||W-Z||_F, ||H-Z||_F) after
-    iteration k's Z update; objective[k] the full objective at that Z,
-    or objective is empty when solve ran with trace_objective=False.
-    The learned Z itself is returned as the CoefficientMatrix.
+    Z has a zero diagonal. residuals[k] holds (||J-Z||_F, ||W-Z||_F,
+    ||H-Z||_F) after iteration k's Z update; objective[k] the full
+    objective at that Z, or objective is empty when solve ran with
+    trace_objective=False. rel_change is the relative change of Z in the
+    last iteration.
     """
 
-    iterations: int = 0
-    rel_change: float = np.inf
-    converged: bool = False
-    residuals: list = field(default_factory=list)
-    objective: list = field(default_factory=list)
-
-
-@dataclass
-class CoefficientMatrix:
-    values: np.ndarray
+    Z: np.ndarray
     converged: bool
     iterations: int
+    rel_change: float
+    residuals: list
+    objective: list
 
 
 def prox_l1(D, tau):
@@ -132,18 +127,24 @@ def prox_nuclear(D, tau):
 
     Computed from eigh(D D') as the module docstring explains. Raises
     DivergenceError on a non-finite D, which would otherwise lose its
-    NaN eigenvalues to the threshold and come back as zeros.
+    NaN eigenvalues to the threshold and come back as zeros. A finite D
+    beyond about 1e154 overflows D D' and takes the SVD form instead.
     """
-    if not np.all(np.isfinite(D)):
+    # a non-finite D always gives a non-finite D D', so one check covers both
+    with np.errstate(over="ignore", invalid="ignore"):
+        G = D @ D.T
+    if np.all(np.isfinite(G)):
+        lam, U = np.linalg.eigh(G)
+        s = np.sqrt(np.maximum(lam, 0.0))
+        if s[-1] <= _GRAM_RATIO * tau:
+            keep = s > tau
+            Uk = U[:, keep]
+            return (Uk * (1.0 - tau / s[keep])) @ (Uk.T @ D)
+    elif not np.all(np.isfinite(D)):
         raise DivergenceError("prox_nuclear: D has non-finite entries")
-    lam, U = np.linalg.eigh(D @ D.T)
-    s = np.sqrt(np.maximum(lam, 0.0))
-    if s[-1] > _GRAM_RATIO * tau:
-        U, s, Vt = np.linalg.svd(D, full_matrices=False)
-        return (U * np.maximum(s - tau, 0.0)) @ Vt
-    keep = s > tau
-    Uk = U[:, keep]
-    return (Uk * (1.0 - tau / s[keep])) @ (Uk.T @ D)
+    # ||D||_2 / tau beyond _GRAM_RATIO, or a finite D whose D D' overflowed
+    U, s, Vt = np.linalg.svd(D, full_matrices=False)
+    return (U * np.maximum(s - tau, 0.0)) @ Vt
 
 
 def _factor_spd(A, message):
@@ -266,14 +267,14 @@ def solve(K, config: SolverConfig, *, trace_objective=True):
     config : SolverConfig
     trace_objective : bool
         Record the full objective after every iteration in
-        ``state.objective``. It costs a pass over Z per iteration (an SVD
-        for ``low_rank``) and changes nothing else; when False,
-        ``state.objective`` stays empty.
+        ``objective``. It costs a pass over Z per iteration (an SVD for
+        ``low_rank``) and changes nothing else; when False, ``objective``
+        stays empty.
 
     Returns
     -------
-    (CoefficientMatrix, SolverState)
-        The learned Z (zero diagonal) and the full diagnostic state.
+    Solution
+        The learned Z (zero diagonal) and how the solve ended.
 
     Notes
     -----
@@ -306,9 +307,7 @@ def solve(K, config: SolverConfig, *, trace_objective=True):
         "negative kernel eigenvalue (cond ~ {cond})",
     )
 
-    state = SolverState()
-    converged = False
-    it = 0
+    residuals, objective = [], []
     z_norm = np.linalg.norm(Z, "fro")
     for it in range(1, config.max_iter + 1):
         J = update_j(K, Z, Y[0], mu, j_factor)
@@ -330,32 +329,37 @@ def solve(K, config: SolverConfig, *, trace_objective=True):
             Y[i] = Y[i] + mu * R
             res.append(float(np.linalg.norm(R, "fro")))
         del R
-        state.residuals.append(tuple(res))
+        residuals.append(tuple(res))
 
         # ||Z||_F is carried into the next iteration as its ||Z_prev||_F
         z_prev_norm, z_norm = z_norm, np.linalg.norm(Z, "fro")
         rel = np.linalg.norm(Z - Z_prev, "fro") / max(z_prev_norm, 1e-12)
         if trace_objective:
-            state.objective.append(
+            objective.append(
                 float(evaluate_objective(K, Z, alpha, beta, config.regularizer))
             )
-        state.rel_change = float(rel)
-        if rel < config.tol:
-            converged = True
+        converged = bool(rel < config.tol)
+        if converged:
             break
 
-    state.iterations = it
-    state.converged = converged
-    return CoefficientMatrix(values=Z, converged=converged, iterations=it), state
+    # config.validate() guarantees max_iter >= 1, so the loop ran at least once
+    return Solution(
+        Z=Z,
+        converged=converged,
+        iterations=it,
+        rel_change=float(rel),
+        residuals=residuals,
+        objective=objective,
+    )
 
 
-def diagnostics_dict(state: SolverState):
+def diagnostics_dict(solution: Solution):
     """JSON-ready diagnostics: {converged, iterations, final_rel_change,
-    residuals, objective}."""
+    residuals, objective}; Z is left out."""
     return {
-        "converged": state.converged,
-        "iterations": state.iterations,
-        "final_rel_change": state.rel_change,
-        "residuals": [list(r) for r in state.residuals],
-        "objective": list(state.objective),
+        "converged": solution.converged,
+        "iterations": solution.iterations,
+        "final_rel_change": solution.rel_change,
+        "residuals": [list(r) for r in solution.residuals],
+        "objective": list(solution.objective),
     }

@@ -88,11 +88,11 @@ def test_criterion_3_admm_feasibility():
         A = rng.standard_normal((30, 30))
         K = A @ A.T
         K /= kernel_squared_distances(K).max()
-        coeff, state = solve(K, SolverConfig(regularizer="sparse", seed=trial))
-        converged += coeff.converged and state.iterations <= 300
-        feas = max(state.residuals[-1]) / max(1.0, np.linalg.norm(coeff.values, "fro"))
+        sol = solve(K, SolverConfig(regularizer="sparse", seed=trial))
+        converged += sol.converged and sol.iterations <= 300
+        feas = max(sol.residuals[-1]) / max(1.0, np.linalg.norm(sol.Z, "fro"))
         worst_feas = max(worst_feas, feas)
-        worst_rel = max(worst_rel, state.rel_change)
+        worst_rel = max(worst_rel, sol.rel_change)
     ok = converged == 10 and worst_feas <= 1e-3 and worst_rel < 1e-5
     report(
         3,
@@ -155,9 +155,9 @@ def test_criterion_4_oracle_equivalence():
     for trial in range(5):
         K = random_psd_kernel(8, rng)
         cfg = SolverConfig(regularizer="sparse", alpha=0.1, beta=0.1, seed=trial)
-        coeff, _ = solve(K, cfg)
+        sol = solve(K, cfg)
         Zp = _pgd_reference(K, 0.1, 0.1, seed=trial)
-        o_admm = evaluate_objective(K, coeff.values, 0.1, 0.1, "sparse")
+        o_admm = evaluate_objective(K, sol.Z, 0.1, 0.1, "sparse")
         o_pgd = evaluate_objective(K, Zp, 0.1, 0.1, "sparse")
         worst = max(worst, abs(o_admm - o_pgd) / abs(o_pgd))
     report(4, worst <= 0.01, f"worst objective gap vs reference {worst:.2e} <= 1%", t0)
@@ -234,8 +234,8 @@ def test_criterion_6_end_to_end_clustering():
         for reg in ("low_rank", "sparse"):
             best = 0.0
             for km in bank:
-                coeff, _ = solve(km.values, SolverConfig(regularizer=reg, seed=seed))
-                res = cluster(coeff.values, 2, seed=seed)
+                sol = solve(km.values, SolverConfig(regularizer=reg, seed=seed))
+                res = cluster(sol.Z, 2, seed=seed)
                 best = max(best, accuracy(res.assignments, data.labels))
                 if best == 1.0:
                     break
@@ -253,8 +253,8 @@ def test_criterion_7_end_to_end_ssl():
     best = 0.0
     for reg in ("low_rank", "sparse"):
         for km in bank:
-            coeff, _ = solve(km.values, SolverConfig(regularizer=reg, seed=0))
-            r = ssl_experiment(coeff.values, data.labels, 0.1, repeats=20, gamma=1.0, seed=0)
+            sol = solve(km.values, SolverConfig(regularizer=reg, seed=0))
+            r = ssl_experiment(sol.Z, data.labels, 0.1, repeats=20, gamma=1.0, seed=0)
             best = max(best, r.mean_acc)
     elapsed = time.perf_counter() - t0
     ok = best >= 0.95 and elapsed < 120
@@ -265,8 +265,8 @@ def _best_over_bank(data, reg, seed=0):
     bank = build_kernel_bank(data, "clustering12")
     best = 0.0
     for km in bank:
-        coeff, _ = solve(km.values, SolverConfig(regularizer=reg, seed=seed))
-        res = cluster(coeff.values, data.c, seed=seed)
+        sol = solve(km.values, SolverConfig(regularizer=reg, seed=seed))
+        res = cluster(sol.Z, data.c, seed=seed)
         best = max(best, accuracy(res.assignments, data.labels))
     return best
 

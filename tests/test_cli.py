@@ -8,7 +8,7 @@ from conftest import two_blobs
 from similearn import harness
 from similearn.cli import build_parser, main
 from similearn.io import read_matrix, write_labels, write_matrix
-from similearn.solver import SolverConfig
+from similearn.solver import SolverConfig, diagnostics_dict, solve
 
 
 @pytest.fixture
@@ -36,6 +36,24 @@ def test_kernels_command(tmp_path, blob_files, capsys):
     }
     K = read_matrix(out / "gaussian_t1.csv")
     assert K.shape == (8, 8)
+
+
+@pytest.mark.parametrize("reg", ["low_rank", "sparse"])
+def test_learn_writes_what_solve_returns(tmp_path, blob_files, reg):
+    fp, _ = blob_files
+    main(["kernels", "--data", str(fp), "--bank", "ssl7", "--out-dir", str(tmp_path / "bank")])
+    kernel = tmp_path / "bank" / "gaussian_t1.csv"
+    z = tmp_path / "z.csv"
+    rc = main([
+        "learn", "--kernel", str(kernel), "--reg", reg,
+        "--alpha", "0.2", "--beta", "0.05", "--max-iter", "30", "--seed", "3",
+        "--out", str(z),
+    ])
+    assert rc == 0
+    cfg = SolverConfig(regularizer=reg, alpha=0.2, beta=0.05, max_iter=30, seed=3)
+    sol = solve(read_matrix(kernel), cfg)
+    assert json.loads((tmp_path / "z.diagnostics.json").read_text()) == diagnostics_dict(sol)
+    assert read_matrix(z).tobytes() == sol.Z.tobytes()
 
 
 def test_learn_cluster_ssl_eval_pipeline(tmp_path, blob_files, capsys):

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+from similearn import semisupervised
+from similearn.errors import LinearSolveError
 from similearn.graph import build_graph, laplacian
 from similearn.semisupervised import (
     LabelMatrix,
@@ -95,6 +97,22 @@ def test_lgc_shape_and_gamma_errors():
         lgc_propagate(np.zeros((3, 3)), np.zeros((4, 2)), gamma=1.0)
     with pytest.raises(ValueError):
         lgc_propagate(np.zeros((2, 2)), np.zeros((2, 2)), gamma=0.0)
+
+
+# the message of the one LGC factorization path, for lgc_propagate and ssl_experiment
+PSD_LAPLACIAN = "L must be a PSD Laplacian"
+
+
+def test_lgc_rejects_indefinite_laplacian():
+    Y = make_label_matrix([0, 1, 0], [True, True, False], 2)
+    with pytest.raises(LinearSolveError, match=PSD_LAPLACIAN):
+        lgc_propagate(np.diag([1.0, -5.0, 1.0]), Y, gamma=1.0)
+
+
+def test_ssl_rejects_indefinite_laplacian(monkeypatch):
+    monkeypatch.setattr(semisupervised, "laplacian", lambda graph: -5.0 * np.eye(8))
+    with pytest.raises(LinearSolveError, match=PSD_LAPLACIAN):
+        ssl_experiment(two_block_z(n_per=4), np.repeat([0, 1], 4), fraction=0.25, gamma=1.0)
 
 
 def test_ssl_block_graph_is_perfect():

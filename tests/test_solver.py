@@ -92,6 +92,23 @@ def test_solve_never_thresholds_non_finite_d_to_zero(rng, monkeypatch, reg):
         solve(random_psd_kernel(5, rng), SolverConfig(regularizer=reg, max_iter=3))
 
 
+def test_prox_nuclear_takes_svd_form_when_gram_overflows(rng):
+    # finite D whose D D' overflows to inf, which eigh cannot decompose
+    D = rng.standard_normal((4, 4)) * 1e200
+    got = prox_nuclear(D, 0.1)
+    bound = 1e-12 * max(1.0, np.linalg.norm(D, 2))
+    assert np.abs(got - _reference_prox_nuclear(D, 0.1)).max() <= bound
+
+
+def test_solve_with_overflowing_gram_ends_in_divergence(rng, monkeypatch):
+    # J grows 1e100-fold per call: D D' overflows while D is finite, then J overflows
+    real_update_j = solver_module.update_j
+    monkeypatch.setattr(solver_module, "update_j", lambda *args: real_update_j(*args) * 1e100)
+    cfg = SolverConfig(regularizer="low_rank", max_iter=10)
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(DivergenceError):
+        solve(random_psd_kernel(5, rng), cfg)
+
+
 def test_prox_nuclear_diagonal_case():
     out = prox_nuclear(np.diag([3.0, 1.0]), 2.0)
     np.testing.assert_allclose(out, np.diag([1.0, 0.0]), atol=1e-10)
@@ -332,26 +349,26 @@ def test_gradient_matches_finite_differences(rng):
 
 def test_solve_zero_diagonal_and_shapes(rng):
     K = random_psd_kernel(10, rng)
-    coeff, state = solve(K, SolverConfig(regularizer="sparse", seed=3))
-    assert np.all(np.diag(coeff.values) == 0.0)
-    assert coeff.values.shape == (10, 10)
-    assert np.all(np.isfinite(coeff.values))
-    assert len(state.residuals) == state.iterations
-    assert len(state.objective) == state.iterations
+    sol = solve(K, SolverConfig(regularizer="sparse", seed=3))
+    assert np.all(np.diag(sol.Z) == 0.0)
+    assert sol.Z.shape == (10, 10)
+    assert np.all(np.isfinite(sol.Z))
+    assert len(sol.residuals) == sol.iterations
+    assert len(sol.objective) == sol.iterations
 
 
 @pytest.mark.parametrize("reg", ["low_rank", "sparse"])
 def test_solve_without_objective_trace_is_otherwise_identical(rng, reg):
     K = random_psd_kernel(8, rng)
     cfg = SolverConfig(regularizer=reg, max_iter=40, seed=2)
-    a, sa = solve(K, cfg)
-    b, sb = solve(K, cfg, trace_objective=False)
-    assert np.array_equal(a.values, b.values)
+    a = solve(K, cfg)
+    b = solve(K, cfg, trace_objective=False)
+    assert np.array_equal(a.Z, b.Z)
     assert (a.iterations, a.converged) == (b.iterations, b.converged)
-    assert sa.residuals == sb.residuals
-    assert sa.rel_change == sb.rel_change
-    assert len(sa.objective) == sa.iterations
-    assert sb.objective == []
+    assert a.residuals == b.residuals
+    assert a.rel_change == b.rel_change
+    assert len(a.objective) == a.iterations
+    assert b.objective == []
 
 
 def _reference_solve(K, config, trace_objective=True):
@@ -408,15 +425,15 @@ def _reference_solve(K, config, trace_objective=True):
 def test_solve_matches_reference_loop(rng, reg, trace, max_iter, tol):
     K = random_psd_kernel(12, rng)
     cfg = SolverConfig(regularizer=reg, max_iter=max_iter, tol=tol, seed=4)
-    coeff, state = solve(K, cfg, trace_objective=trace)
+    sol = solve(K, cfg, trace_objective=trace)
     Z, residuals, objective, rel, iterations, converged = _reference_solve(K, cfg, trace)
     assert converged == (max_iter == 300)
-    assert coeff.values.tobytes() == Z.tobytes()
-    assert state.residuals == residuals
-    assert state.objective == objective
-    assert state.rel_change == rel
-    assert state.iterations == coeff.iterations == iterations
-    assert state.converged == coeff.converged == converged
+    assert sol.Z.tobytes() == Z.tobytes()
+    assert sol.residuals == residuals
+    assert sol.objective == objective
+    assert sol.rel_change == rel
+    assert sol.iterations == iterations
+    assert sol.converged == converged
 
 
 @pytest.mark.parametrize("reg", ["low_rank", "sparse"])
@@ -470,20 +487,20 @@ def small_kernels(draw):
 def test_solve_returns_valid_z_or_typed_error(K, reg, alpha, beta, mu, max_iter):
     cfg = SolverConfig(regularizer=reg, alpha=alpha, beta=beta, mu=mu, max_iter=max_iter)
     try:
-        coeff, _ = solve(K, cfg)
+        sol = solve(K, cfg)
     except (LinearSolveError, DivergenceError, ValueError) as e:
         assert not isinstance(e, LinAlgError), repr(e)
         return
-    assert np.all(np.isfinite(coeff.values))
-    assert np.all(np.diag(coeff.values) == 0.0)
+    assert np.all(np.isfinite(sol.Z))
+    assert np.all(np.diag(sol.Z) == 0.0)
 
 
 def test_solve_deterministic(rng):
     K = random_psd_kernel(8, rng)
     cfg = SolverConfig(regularizer="low_rank", alpha=0.2, beta=0.05, seed=11)
-    a, _ = solve(K, cfg)
-    b, _ = solve(K, cfg)
-    assert np.array_equal(a.values, b.values)
+    a = solve(K, cfg)
+    b = solve(K, cfg)
+    assert np.array_equal(a.Z, b.Z)
 
 
 def test_solve_feasibility_at_convergence(rng):
@@ -491,9 +508,9 @@ def test_solve_feasibility_at_convergence(rng):
     tol = 1e-5
     for trial in range(3):
         K = random_psd_kernel(20, rng)
-        coeff, state = solve(K, SolverConfig(regularizer="sparse", tol=tol, seed=trial))
-        assert coeff.converged
-        assert max(state.residuals[-1]) < tol * 10
+        sol = solve(K, SolverConfig(regularizer="sparse", tol=tol, seed=trial))
+        assert sol.converged
+        assert max(sol.residuals[-1]) < tol * 10
 
 
 def test_solve_block_kernel_mass_stays_in_block():
@@ -503,8 +520,8 @@ def test_solve_block_kernel_mass_stays_in_block():
     K = np.zeros((n, n))
     K[:8, :8] = 1.0
     K[8:, 8:] = 1.0
-    coeff, _ = solve(K, SolverConfig(regularizer="sparse", seed=0))
-    A = np.abs(coeff.values)
+    sol = solve(K, SolverConfig(regularizer="sparse", seed=0))
+    A = np.abs(sol.Z)
     for i in range(n):
         own = slice(0, 8) if i < 8 else slice(8, n)
         assert A[i, own].sum() >= 0.95 * A[i].sum()
@@ -523,8 +540,8 @@ def test_solve_indefinite_kernel_needs_large_mu():
     K = np.diag([1.0, -5.0])
     with pytest.raises(LinearSolveError):
         solve(K, SolverConfig(mu=1.0))
-    coeff, _ = solve(K, SolverConfig(mu=6.0, max_iter=5))
-    assert np.all(np.isfinite(coeff.values))
+    sol = solve(K, SolverConfig(mu=6.0, max_iter=5))
+    assert np.all(np.isfinite(sol.Z))
 
 
 def test_solver_config_validation():
@@ -547,8 +564,8 @@ def test_solver_config_validation():
 
 def test_diagnostics_dict_roundtrip(rng):
     K = random_psd_kernel(6, rng)
-    _, state = solve(K, SolverConfig(regularizer="sparse", max_iter=20, seed=1))
-    d = diagnostics_dict(state)
+    sol = solve(K, SolverConfig(regularizer="sparse", max_iter=20, seed=1))
+    d = diagnostics_dict(sol)
     assert set(d) == {
         "converged", "iterations", "final_rel_change", "residuals", "objective",
     }
@@ -565,10 +582,10 @@ def test_duplicate_samples_solve_and_cluster_to_n_labels(reg):
     X = np.random.default_rng(0).standard_normal((3, 2))
     data = Dataset(features=np.vstack([X, X]))
     for km in build_kernel_bank(data, "ssl7"):
-        coeff, _ = solve(km.values, SolverConfig(regularizer=reg))
-        assert np.all(np.isfinite(coeff.values)), km.spec
-        assert np.all(np.diag(coeff.values) == 0.0), km.spec
-        labels = cluster(coeff.values, 6, seed=0).assignments
+        sol = solve(km.values, SolverConfig(regularizer=reg))
+        assert np.all(np.isfinite(sol.Z)), km.spec
+        assert np.all(np.diag(sol.Z) == 0.0), km.spec
+        labels = cluster(sol.Z, 6, seed=0).assignments
         assert len(set(labels.tolist())) == 6, km.spec
 
 
@@ -576,10 +593,10 @@ def test_duplicate_samples_solve_and_cluster_to_n_labels(reg):
 def test_two_samples_solve_and_cluster(reg):
     data = Dataset(features=np.random.default_rng(1).standard_normal((2, 3)))
     for km in build_kernel_bank(data, "clustering12"):
-        coeff, _ = solve(km.values, SolverConfig(regularizer=reg))
-        assert coeff.values.shape == (2, 2)
-        assert np.all(np.isfinite(coeff.values)), km.spec
-        assert np.all(np.diag(coeff.values) == 0.0), km.spec
+        sol = solve(km.values, SolverConfig(regularizer=reg))
+        assert sol.Z.shape == (2, 2)
+        assert np.all(np.isfinite(sol.Z)), km.spec
+        assert np.all(np.diag(sol.Z) == 0.0), km.spec
         for c in (1, 2):
-            labels = cluster(coeff.values, c, seed=0).assignments
+            labels = cluster(sol.Z, c, seed=0).assignments
             assert len(set(labels.tolist())) == c, (km.spec, c)

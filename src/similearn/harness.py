@@ -91,7 +91,7 @@ class ExperimentConfig:
     mu: float = SolverConfig.mu
     max_iter: int = SolverConfig.max_iter
     tol: float = SolverConfig.tol
-    seed: int = SolverConfig.seed
+    seed: int = 0
     save_z: bool = False
 
     def validate(self):
@@ -110,6 +110,8 @@ class ExperimentConfig:
         self.alphas = _grid(self.alphas, "alphas")
         self.betas = _grid(self.betas, "betas")
         require_number("repeats", self.repeats, numbers.Integral)
+        if require_number("seed", self.seed, numbers.Integral) < 0:
+            raise ValueError("seed must be nonnegative")
         if self.task == "ssl":
             self.gammas = _grid(self.gammas, "gammas")
             self.fractions = _grid(self.fractions, "fractions")
@@ -122,8 +124,8 @@ class ExperimentConfig:
         return self
 
     def solver_config(self, regularizer, alpha, beta) -> SolverConfig:
-        """The SolverConfig of one grid cell; mu, tol, max_iter, seed are shared."""
-        shared = dict(mu=self.mu, max_iter=self.max_iter, tol=self.tol, seed=self.seed)
+        """The SolverConfig of one grid cell; mu, tol and max_iter are shared."""
+        shared = dict(mu=self.mu, max_iter=self.max_iter, tol=self.tol)
         return SolverConfig(regularizer=regularizer, alpha=alpha, beta=beta, **shared)
 
 

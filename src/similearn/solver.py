@@ -7,16 +7,20 @@ Learns an n x n coefficient matrix Z for a kernel matrix K by minimizing
 subject to diag(Z) = 0, where rho is either the nuclear norm
 (regularizer "low_rank") or the entrywise l1 norm ("sparse"). The
 problem is split three ways (J = W = H = Z) and solved by ADMM with a
-fixed penalty mu:
+fixed penalty mu, from Z = H = (K + mu I)^-1 K with its diagonal zeroed
+(the least-squares representation of Lu et al. 2012) and Y = 0. With
+P = (K + mu I)^-1:
 
-    J = (K + mu I)^-1 (K + mu Z - Y1)
+    J = P (K + mu Z - Y1)
     W = (2 alpha K H H'K' + mu I)^-1 (2 alpha K H K' + mu Z - Y2)
     H = (2 alpha K'W W'K + mu I)^-1 (2 alpha K'W K + mu Z - Y3)
     Z = prox(D, beta / (3 mu)),  D = (J + W + H + (Y1+Y2+Y3)/mu) / 3
     Y1 += mu (J - Z);  Y2 += mu (W - Z);  Y3 += mu (H - Z)
 
 The diagonal of Z is zeroed after every Z update, which keeps the
-constraint exact without touching the closed forms.
+constraint exact without touching the closed forms. (K + mu I) never
+changes, so P is formed once per solve and each J step is one matmul,
+cheaper at small n than triangular solves with n right-hand sides.
 
 The low-rank Z step thresholds singular values without an SVD. With
 D = U diag(s) V', D D' = U diag(s^2) U', so one symmetric
@@ -36,8 +40,8 @@ import numbers
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import LinAlgError, cho_factor
-from scipy.linalg.lapack import dposv, dpotrs
+from scipy.linalg import LinAlgError, cho_factor, cho_solve
+from scipy.linalg.lapack import dposv
 
 from .errors import DivergenceError, LinearSolveError
 
@@ -69,8 +73,8 @@ class SolverConfig:
     """Hyperparameters and run controls for one solve.
 
     alpha weighs the similarity-preserving term, beta the regularizer,
-    mu is the (fixed) ADMM penalty. Random initialization of Z and H is
-    drawn from the seed, so equal configs give bit-identical results.
+    mu is the (fixed) ADMM penalty. solve draws no random numbers, so
+    equal configs give bit-identical results.
     """
 
     regularizer: str = "sparse"
@@ -79,7 +83,6 @@ class SolverConfig:
     mu: float = 1.0
     max_iter: int = 300
     tol: float = 1e-5
-    seed: int = 0
 
     def validate(self):
         if self.regularizer not in REGULARIZERS:
@@ -94,8 +97,6 @@ class SolverConfig:
             raise ValueError("max_iter must be at least 1")
         if require_number("tol", self.tol) <= 0:
             raise ValueError("tol must be positive")
-        if require_number("seed", self.seed, numbers.Integral) < 0:
-            raise ValueError("seed must be nonnegative")
 
 
 @dataclass
@@ -169,14 +170,9 @@ def _solve_spd(A, B, what):
     return X
 
 
-def update_j(K, Z, Y1, mu, factor):
-    """J = (K + mu I)^-1 (K + mu Z - Y1).
-
-    ``factor`` is the cho_factor of (K + mu I); the solve loop reuses
-    one factorization across iterations.
-    """
-    c, lower = factor
-    return dpotrs(c, K + mu * Z - Y1, lower=lower)[0]
+def update_j(K, Z, Y1, mu, inverse):
+    """J = (K + mu I)^-1 (K + mu Z - Y1), with ``inverse`` = (K + mu I)^-1."""
+    return inverse @ (K + mu * Z - Y1)
 
 
 def update_w(K, H, Z, Y2, mu, alpha):
@@ -278,11 +274,11 @@ def solve(K, config: SolverConfig, *, trace_objective=True):
 
     Notes
     -----
-    Z and H start as iid uniform[0, 1/n] draws from the seed (small
-    positive entries avoid the immediate full-shrinkage fixed point),
-    multipliers start at zero, and J and W come from their first
-    updates. Convergence is declared when the relative change of Z
-    drops below tol.
+    P = (K + mu I)^-1 is formed once, from its Cholesky factor. Each J
+    step is one product with P, and Z and H start at the least-squares
+    representation P K = I - mu P with the diagonal zeroed. Multipliers
+    start at zero, and J and W come from their first updates.
+    Convergence is declared when the relative change of Z drops below tol.
     """
     config.validate()
     K = np.asarray(K, dtype=float)
@@ -294,23 +290,22 @@ def solve(K, config: SolverConfig, *, trace_objective=True):
     if np.abs(K - K.T).max() > 1e-8 * max(1.0, np.abs(K).max()):
         raise ValueError("kernel must be symmetric")
 
-    rng = np.random.default_rng(config.seed)
-    Z = rng.uniform(0.0, 1.0 / n, size=(n, n))
-    H = rng.uniform(0.0, 1.0 / n, size=(n, n))
-    Y = [np.zeros((n, n)) for _ in range(3)]  # the multipliers Y1, Y2, Y3
     mu, alpha, beta = config.mu, config.alpha, config.beta
-
-    # (K + mu I) never changes; factor it once for every J update
     j_factor = _factor_spd(
         K + mu * np.eye(n),
         "K + mu I is not positive definite; mu must exceed the most "
         "negative kernel eigenvalue (cond ~ {cond})",
     )
+    P = cho_solve(j_factor, np.eye(n))  # (K + mu I)^-1
+    Z = -mu * P  # off the diagonal, (K + mu I)^-1 K = I - mu P is -mu P
+    np.fill_diagonal(Z, 0.0)
+    H = Z
+    Y = [np.zeros((n, n)) for _ in range(3)]  # the multipliers Y1, Y2, Y3
 
     residuals, objective = [], []
     z_norm = np.linalg.norm(Z, "fro")
     for it in range(1, config.max_iter + 1):
-        J = update_j(K, Z, Y[0], mu, j_factor)
+        J = update_j(K, Z, Y[0], mu, P)
         _check_finite(J, "J", it)
         W = update_w(K, H, Z, Y[1], mu, alpha)
         _check_finite(W, "W", it)

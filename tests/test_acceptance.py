@@ -88,7 +88,7 @@ def test_criterion_3_admm_feasibility():
         A = rng.standard_normal((30, 30))
         K = A @ A.T
         K /= kernel_squared_distances(K).max()
-        sol = solve(K, SolverConfig(regularizer="sparse", seed=trial))
+        sol = solve(K, SolverConfig(regularizer="sparse"))
         converged += sol.converged and sol.iterations <= 300
         feas = max(sol.residuals[-1]) / max(1.0, np.linalg.norm(sol.Z, "fro"))
         worst_feas = max(worst_feas, feas)
@@ -154,7 +154,7 @@ def test_criterion_4_oracle_equivalence():
     worst = 0.0
     for trial in range(5):
         K = random_psd_kernel(8, rng)
-        cfg = SolverConfig(regularizer="sparse", alpha=0.1, beta=0.1, seed=trial)
+        cfg = SolverConfig(regularizer="sparse", alpha=0.1, beta=0.1)
         sol = solve(K, cfg)
         Zp = _pgd_reference(K, 0.1, 0.1, seed=trial)
         o_admm = evaluate_objective(K, sol.Z, 0.1, 0.1, "sparse")
@@ -234,7 +234,7 @@ def test_criterion_6_end_to_end_clustering():
         for reg in ("low_rank", "sparse"):
             best = 0.0
             for km in bank:
-                sol = solve(km.values, SolverConfig(regularizer=reg, seed=seed))
+                sol = solve(km.values, SolverConfig(regularizer=reg))
                 res = cluster(sol.Z, 2, seed=seed)
                 best = max(best, accuracy(res.assignments, data.labels))
                 if best == 1.0:
@@ -253,7 +253,7 @@ def test_criterion_7_end_to_end_ssl():
     best = 0.0
     for reg in ("low_rank", "sparse"):
         for km in bank:
-            sol = solve(km.values, SolverConfig(regularizer=reg, seed=0))
+            sol = solve(km.values, SolverConfig(regularizer=reg))
             r = ssl_experiment(sol.Z, data.labels, 0.1, repeats=20, gamma=1.0, seed=0)
             best = max(best, r.mean_acc)
     elapsed = time.perf_counter() - t0
@@ -265,7 +265,7 @@ def _best_over_bank(data, reg, seed=0):
     bank = build_kernel_bank(data, "clustering12")
     best = 0.0
     for km in bank:
-        sol = solve(km.values, SolverConfig(regularizer=reg, seed=seed))
+        sol = solve(km.values, SolverConfig(regularizer=reg))
         res = cluster(sol.Z, data.c, seed=seed)
         best = max(best, accuracy(res.assignments, data.labels))
     return best

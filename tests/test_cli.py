@@ -46,11 +46,11 @@ def test_learn_writes_what_solve_returns(tmp_path, blob_files, reg):
     z = tmp_path / "z.csv"
     rc = main([
         "learn", "--kernel", str(kernel), "--reg", reg,
-        "--alpha", "0.2", "--beta", "0.05", "--max-iter", "30", "--seed", "3",
+        "--alpha", "0.2", "--beta", "0.05", "--max-iter", "30",
         "--out", str(z),
     ])
     assert rc == 0
-    cfg = SolverConfig(regularizer=reg, alpha=0.2, beta=0.05, max_iter=30, seed=3)
+    cfg = SolverConfig(regularizer=reg, alpha=0.2, beta=0.05, max_iter=30)
     sol = solve(read_matrix(kernel), cfg)
     assert json.loads((tmp_path / "z.diagnostics.json").read_text()) == diagnostics_dict(sol)
     assert read_matrix(z).tobytes() == sol.Z.tobytes()
@@ -67,7 +67,6 @@ def test_learn_cluster_ssl_eval_pipeline(tmp_path, blob_files, capsys):
         "--kernel", str(bank / "gaussian_t0.1.csv"),
         "--reg", "sparse",
         "--alpha", "0.1", "--beta", "0.1",
-        "--seed", "0",
         "--out", str(z),
     ])
     assert rc == 0

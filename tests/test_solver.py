@@ -4,13 +4,20 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.linalg import LinAlgError, cho_factor
+from scipy.linalg import LinAlgError, cho_factor, cho_solve
 
 from conftest import random_psd_kernel
+from test_acceptance import _pgd_reference
 from similearn import solver as solver_module
 from similearn.errors import DivergenceError, LinearSolveError
 from similearn.graph import cluster
-from similearn.kernels import Dataset, build_kernel_bank
+from similearn.kernels import (
+    Dataset,
+    KernelSpec,
+    build_kernel_bank,
+    compute_kernel,
+    normalize_kernel,
+)
 from similearn.solver import (
     SolverConfig,
     diagnostics_dict,
@@ -172,7 +179,7 @@ def test_prox_nuclear_optimality(rng):
 
 def test_update_j_identity_case():
     K = np.eye(2)
-    J = update_j(K, np.zeros((2, 2)), np.zeros((2, 2)), 1.0, cho_factor(K + np.eye(2)))
+    J = update_j(K, np.zeros((2, 2)), np.zeros((2, 2)), 1.0, np.linalg.inv(K + np.eye(2)))
     np.testing.assert_allclose(J, 0.5 * np.eye(2), atol=1e-12)
 
 
@@ -181,7 +188,7 @@ def test_update_j_large_mu_approaches_z(rng):
     Z = rng.standard_normal((4, 4))
     Y1 = np.zeros((4, 4))
     gaps = [
-        np.linalg.norm(update_j(K, Z, Y1, mu, cho_factor(K + mu * np.eye(4))) - Z, "fro")
+        np.linalg.norm(update_j(K, Z, Y1, mu, np.linalg.inv(K + mu * np.eye(4))) - Z, "fro")
         for mu in (1.0, 10.0, 100.0, 1000.0)
     ]
     assert all(b < a for a, b in zip(gaps, gaps[1:]))
@@ -224,7 +231,7 @@ def test_update_plug_back_residuals(rng):
     Y = rng.standard_normal((n, n))
     mu, alpha = 1.3, 0.7
 
-    J = update_j(K, Z, Y, mu, cho_factor(K + mu * np.eye(n)))
+    J = update_j(K, Z, Y, mu, np.linalg.inv(K + mu * np.eye(n)))
     r = (K + mu * np.eye(n)) @ J - (K + mu * Z - Y)
     assert np.linalg.norm(r, "fro") <= 1e-10
 
@@ -241,6 +248,36 @@ def test_update_plug_back_residuals(rng):
         2 * alpha * KtW @ K + mu * Z - Y
     )
     assert np.linalg.norm(r, "fro") <= 1e-10
+
+
+@st.composite
+def j_step_cases(draw):
+    """(K, Z, Y1, mu): SPD K with lambda_max in [4, 5e3] and cond(K) up to 1e4.
+
+    That lambda_max range is the clustering12 bank's on normalized kernels.
+    """
+    n = draw(st.integers(1, 30))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    top = 10.0 ** draw(st.floats(np.log10(4.0), np.log10(5e3)))
+    cond = 10.0 ** draw(st.floats(0, 4))
+    lam = top * cond ** -rng.uniform(0, 1, n)
+    lam[-1], lam[0] = top / cond, top
+    Q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    K = (Q * lam) @ Q.T
+    K = (K + K.T) / 2
+    mu = 10.0 ** draw(st.floats(-2, 2))
+    return K, rng.standard_normal((n, n)), rng.standard_normal((n, n)), mu
+
+
+@settings(max_examples=200, deadline=None)
+@given(j_step_cases())
+def test_update_j_inverse_matches_cholesky_solve(case):
+    # the product with solve's (K + mu I)^-1 against the dpotrs solve it replaced
+    K, Z, Y1, mu = case
+    factor = cho_factor(K + mu * np.eye(K.shape[0]))
+    got = update_j(K, Z, Y1, mu, cho_solve(factor, np.eye(K.shape[0])))
+    want = cho_solve(factor, K + mu * Z - Y1)
+    assert np.linalg.norm(got - want, "fro") <= 1e-10 * max(1.0, np.linalg.norm(want, "fro"))
 
 
 def test_update_w_h_report_non_positive_definite_systems():
@@ -349,7 +386,7 @@ def test_gradient_matches_finite_differences(rng):
 
 def test_solve_zero_diagonal_and_shapes(rng):
     K = random_psd_kernel(10, rng)
-    sol = solve(K, SolverConfig(regularizer="sparse", seed=3))
+    sol = solve(K, SolverConfig(regularizer="sparse"))
     assert np.all(np.diag(sol.Z) == 0.0)
     assert sol.Z.shape == (10, 10)
     assert np.all(np.isfinite(sol.Z))
@@ -360,7 +397,7 @@ def test_solve_zero_diagonal_and_shapes(rng):
 @pytest.mark.parametrize("reg", ["low_rank", "sparse"])
 def test_solve_without_objective_trace_is_otherwise_identical(rng, reg):
     K = random_psd_kernel(8, rng)
-    cfg = SolverConfig(regularizer=reg, max_iter=40, seed=2)
+    cfg = SolverConfig(regularizer=reg, max_iter=40)
     a = solve(K, cfg)
     b = solve(K, cfg, trace_objective=False)
     assert np.array_equal(a.Z, b.Z)
@@ -375,16 +412,17 @@ def _reference_solve(K, config, trace_objective=True):
     """The solve loop as it stood with a separate multiplier step; solve must equal it.
 
     It recomputes J - Z, W - Z and H - Z for the residual norms and takes
-    ||Z_prev||_F afresh each iteration. Returns (Z, residuals, objective,
-    rel_change, iterations, converged).
+    ||Z_prev||_F afresh each iteration. It starts, as solve does, from
+    the least-squares representation and takes J from one inverse.
+    Returns (Z, residuals, objective, rel_change, iterations, converged).
     """
     n = K.shape[0]
-    rng = np.random.default_rng(config.seed)
-    Z = rng.uniform(0.0, 1.0 / n, size=(n, n))
-    H = rng.uniform(0.0, 1.0 / n, size=(n, n))
-    Y1, Y2, Y3 = np.zeros((n, n)), np.zeros((n, n)), np.zeros((n, n))
     mu, alpha, beta, reg = config.mu, config.alpha, config.beta, config.regularizer
-    factor = cho_factor(K + mu * np.eye(n))
+    inverse = cho_solve(cho_factor(K + mu * np.eye(n)), np.eye(n))
+    Z = -mu * inverse
+    np.fill_diagonal(Z, 0.0)
+    H = Z
+    Y1, Y2, Y3 = np.zeros((n, n)), np.zeros((n, n)), np.zeros((n, n))
     residuals, objective = [], []
     rel, converged, it = np.inf, False, 0
 
@@ -393,7 +431,7 @@ def _reference_solve(K, config, trace_objective=True):
             raise DivergenceError(f"{name} became non-finite at iteration {it}", iteration=it)
 
     for it in range(1, config.max_iter + 1):
-        J = solver_module.update_j(K, Z, Y1, mu, factor)
+        J = solver_module.update_j(K, Z, Y1, mu, inverse)
         check(J, "J")
         W = solver_module.update_w(K, H, Z, Y2, mu, alpha)
         check(W, "W")
@@ -424,7 +462,7 @@ def _reference_solve(K, config, trace_objective=True):
 @pytest.mark.parametrize("max_iter, tol", [(15, 1e-5), (300, 1e-3)], ids=["capped", "converging"])
 def test_solve_matches_reference_loop(rng, reg, trace, max_iter, tol):
     K = random_psd_kernel(12, rng)
-    cfg = SolverConfig(regularizer=reg, max_iter=max_iter, tol=tol, seed=4)
+    cfg = SolverConfig(regularizer=reg, max_iter=max_iter, tol=tol)
     sol = solve(K, cfg, trace_objective=trace)
     Z, residuals, objective, rel, iterations, converged = _reference_solve(K, cfg, trace)
     assert converged == (max_iter == 300)
@@ -449,7 +487,7 @@ def test_solve_diverges_like_reference_loop(rng, monkeypatch, reg):
 
     monkeypatch.setattr(solver_module, "update_j", overflowing)
     K = random_psd_kernel(6, rng)
-    cfg = SolverConfig(regularizer=reg, max_iter=50, seed=1)
+    cfg = SolverConfig(regularizer=reg, max_iter=50)
     with np.errstate(over="ignore"):
         with pytest.raises(DivergenceError) as want:
             _reference_solve(K, cfg)
@@ -497,7 +535,7 @@ def test_solve_returns_valid_z_or_typed_error(K, reg, alpha, beta, mu, max_iter)
 
 def test_solve_deterministic(rng):
     K = random_psd_kernel(8, rng)
-    cfg = SolverConfig(regularizer="low_rank", alpha=0.2, beta=0.05, seed=11)
+    cfg = SolverConfig(regularizer="low_rank", alpha=0.2, beta=0.05)
     a = solve(K, cfg)
     b = solve(K, cfg)
     assert np.array_equal(a.Z, b.Z)
@@ -508,7 +546,7 @@ def test_solve_feasibility_at_convergence(rng):
     tol = 1e-5
     for trial in range(3):
         K = random_psd_kernel(20, rng)
-        sol = solve(K, SolverConfig(regularizer="sparse", tol=tol, seed=trial))
+        sol = solve(K, SolverConfig(regularizer="sparse", tol=tol))
         assert sol.converged
         assert max(sol.residuals[-1]) < tol * 10
 
@@ -520,11 +558,26 @@ def test_solve_block_kernel_mass_stays_in_block():
     K = np.zeros((n, n))
     K[:8, :8] = 1.0
     K[8:, 8:] = 1.0
-    sol = solve(K, SolverConfig(regularizer="sparse", seed=0))
+    sol = solve(K, SolverConfig(regularizer="sparse"))
     A = np.abs(sol.Z)
     for i in range(n):
         own = slice(0, 8) if i < 8 else slice(8, n)
         assert A[i, own].sum() >= 0.95 * A[i].sum()
+
+
+@pytest.mark.parametrize("t", [10.0, 50.0, 100.0])
+def test_solve_reaches_reference_objective_on_wide_gaussians(t):
+    # wide Gaussians (lambda_max(K) up to 2e3) are where 300 iterations at
+    # mu = 1 can end far above the model's objective; PGD gives that objective
+    rng = np.random.default_rng(0)
+    y = np.repeat(np.arange(4), 10)
+    data = Dataset(features=rng.normal(size=(40, 10)) + 3.0 * y[:, None], labels=y, c=4)
+    K = normalize_kernel(compute_kernel(data, KernelSpec("gaussian", t=t))).values
+    sol = solve(K, SolverConfig(regularizer="sparse"), trace_objective=False)
+    got = evaluate_objective(K, sol.Z, 0.1, 0.1, "sparse")
+    Zp = _pgd_reference(K, 0.1, 0.1, seed=0, iters=3000)
+    want = evaluate_objective(K, Zp, 0.1, 0.1, "sparse")
+    assert got <= 1.01 * want, (got, want)
 
 
 def test_solve_rejects_bad_kernels():
@@ -564,7 +617,7 @@ def test_solver_config_validation():
 
 def test_diagnostics_dict_roundtrip(rng):
     K = random_psd_kernel(6, rng)
-    sol = solve(K, SolverConfig(regularizer="sparse", max_iter=20, seed=1))
+    sol = solve(K, SolverConfig(regularizer="sparse", max_iter=20))
     d = diagnostics_dict(sol)
     assert set(d) == {
         "converged", "iterations", "final_rel_change", "residuals", "objective",

@@ -12,11 +12,14 @@ model-selection rule.
 
 All randomness flows from the single configured seed; reruns with an
 equal config produce byte-identical CSV output. Cells run on a thread
-pool sized by the SIMILEARN_WORKERS environment variable (default 1);
-rows are sorted canonically before persistence, so worker count and
-completion order never change the output.
+pool sized by the SIMILEARN_WORKERS environment variable (default: the
+usable CPUs), which holds OpenBLAS to cpus // workers threads (at least
+one) while it runs; rows are sorted canonically before persistence, so
+worker count and completion order never change the output.
 """
 
+import contextlib
+import ctypes
 import datetime
 import itertools
 import numbers
@@ -284,11 +287,12 @@ def run_experiment(config: ExperimentConfig):
     A cell yields one row per metric dict its task's step returns.
     Returns (rows in canonical order, info).
     """
-    workers = os.environ.get("SIMILEARN_WORKERS", "1")
-    try:
-        workers = max(1, int(workers))
-    except ValueError:
-        raise ValueError(f"SIMILEARN_WORKERS must be an integer, got {workers!r}") from None
+    affinity = getattr(os, "sched_getaffinity", None)
+    cpus = len(affinity(0)) if affinity else os.cpu_count() or 1
+    workers = os.environ.get("SIMILEARN_WORKERS", str(cpus))
+    if not (workers.strip().isdecimal() and int(workers) > 0):
+        raise ValueError(f"SIMILEARN_WORKERS must be a positive integer, got {workers!r}")
+    workers = int(workers)
     config.validate()
     out_dir = Path(config.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -331,9 +335,8 @@ def run_experiment(config: ExperimentConfig):
             failure = dict(where, error=f"{type(e).__name__}: {e}")
             return [ResultRow(**cell, converged=False)], failure
 
-    if workers == 1:
-        results = [run_cell(j) for j in jobs]
-    else:
+    # each worker's BLAS calls get its share of the CPUs
+    with _blas_threads(max(1, cpus // workers)) as blas:
         with ThreadPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(run_cell, jobs))
 
@@ -342,7 +345,45 @@ def run_experiment(config: ExperimentConfig):
     rows += _summarize(rows)
     rows.sort(key=_row_sort_key)
     info = {"n_cells": len(jobs), "n_failed": len(failures), "failures": failures}
+    info.update(workers=workers, cpus=cpus, blas_threads=blas)
     return rows, info
+
+
+def _openblas_libraries():
+    """(path, get_num_threads, set_num_threads) of each OpenBLAS library in the process."""
+    try:
+        with open("/proc/self/maps") as f:
+            paths = sorted({line.split(maxsplit=5)[-1].strip() for line in f})
+    except OSError:  # no procfs: no library to budget
+        return []
+    found = []
+    for path in (p for p in paths if "openblas" in Path(p).name.lower() and os.path.isfile(p)):
+        lib = ctypes.CDLL(path)
+        for name in ("scipy_openblas_{}_num_threads64_", "scipy_openblas_{}_num_threads",
+                     "openblas_{}_num_threads"):
+            get, set_ = (getattr(lib, name.format(verb), None) for verb in ("get", "set"))
+            if get and set_:
+                get.argtypes, get.restype = [], ctypes.c_int
+                set_.argtypes, set_.restype = [ctypes.c_int], None
+                found.append((path, get, set_))
+                break
+    return found
+
+
+@contextlib.contextmanager
+def _blas_threads(limit):
+    """Hold each OpenBLAS library to at most ``limit`` threads, restoring it on exit.
+
+    Yields their [{library, before, during}] thread counts, [] where none is found.
+    """
+    libs = [(path, get, set_, get()) for path, get, set_ in _openblas_libraries()]
+    try:
+        for _, _, set_, before in libs:
+            set_(min(before, limit))
+        yield [dict(library=path, before=before, during=get()) for path, get, _, before in libs]
+    finally:
+        for _, _, set_, before in libs:
+            set_(before)
 
 
 def _fmt(value):

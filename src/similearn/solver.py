@@ -35,13 +35,13 @@ tau is resolved to about eps ||D||^2 / tau; when ||D||_2 / tau exceeds
 _GRAM_RATIO, or D D' overflows, the threshold falls back to the SVD.
 """
 
+import ctypes
 import math
 import numbers
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import LinAlgError, cho_factor, cho_solve
-from scipy.linalg.lapack import dposv
+from scipy.linalg import LinAlgError, cho_factor, cho_solve, cython_lapack
 
 from .errors import DivergenceError, LinearSolveError
 
@@ -157,16 +157,43 @@ def _factor_spd(A, message):
         raise LinearSolveError(message.format(cond=f"{cond:.3e}"), cond=cond) from e
 
 
+def _cython_lapack(name, *argtypes):
+    """A routine of scipy.linalg.cython_lapack as a ctypes function, which drops the GIL."""
+    capsule, api = cython_lapack.__pyx_capi__[name], ctypes.pythonapi
+    get_name = ctypes.PYFUNCTYPE(ctypes.c_char_p, ctypes.py_object)(("PyCapsule_GetName", api))
+    get = ctypes.PYFUNCTYPE(ctypes.c_void_p, ctypes.py_object, ctypes.c_char_p)(
+        ("PyCapsule_GetPointer", api)
+    )
+    return ctypes.CFUNCTYPE(None, *argtypes)(get(capsule, get_name(capsule)))
+
+
+_INT, _PTR = ctypes.POINTER(ctypes.c_int), ctypes.c_void_p
+# dposv(uplo, n, nrhs, a, lda, b, ldb, info)
+_DPOSV = _cython_lapack("dposv", ctypes.c_char_p, _INT, _INT, _PTR, _INT, _PTR, _INT, _INT)
+
+
 def _solve_spd(A, B, what):
     """Solve A X = B for symmetric positive definite A via Cholesky.
 
-    One LAPACK dposv call; its inputs come from iterates the solve loop
-    has already checked for finiteness, so scipy's checks are skipped.
+    One LAPACK dposv call through ctypes, which releases the GIL that
+    scipy.linalg.lapack.dposv holds, so W and H steps on a thread pool
+    run in parallel. It is that wrapper's routine, given A and B copied
+    to Fortran order as the wrapper copies them and uplo "U", so X is
+    bit-for-bit the wrapper's. The inputs come from iterates the solve
+    loop has already checked for finiteness; only the shapes the
+    pointers are read with are checked here.
     """
-    _, X, info = dposv(A, B)
-    if info > 0:  # A is not positive definite; _factor_spd raises with its cond
+    factor = np.array(A, dtype=float, order="F")  # dposv overwrites it
+    X = np.array(B, dtype=float, order="F")
+    if X.ndim != 2 or factor.shape != (len(X), len(X)):  # dposv reads n x n and n x nrhs
+        raise ValueError(f"{what}: cannot solve a {factor.shape} system for {X.shape}")
+    n, nrhs, info = ctypes.c_int(X.shape[0]), ctypes.c_int(X.shape[1]), ctypes.c_int()
+    _DPOSV(b"U", n, nrhs, factor.ctypes.data, n, X.ctypes.data, n, info)
+    if info.value > 0:  # A is not positive definite; _factor_spd raises with its cond
         msg = f"{what}: left-hand side is not positive definite (cond ~ {{cond}}); increase mu"
         _factor_spd(A, msg)
+    if info.value < 0:
+        raise LinearSolveError(f"{what}: dposv rejected its argument {-info.value}")
     return X
 
 

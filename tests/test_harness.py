@@ -1,4 +1,5 @@
 import json
+import os
 from dataclasses import MISSING, fields
 from pathlib import Path
 
@@ -6,13 +7,17 @@ import numpy as np
 import pytest
 
 from conftest import two_blobs
-from similearn import solver
+from similearn import harness, solver
+from similearn.cli import main
+from similearn.errors import LinearSolveError
 from similearn.graph import cluster
 from similearn.harness import (
     BEST_KERNEL,
     CSV_COLUMNS,
     MEAN_KERNEL,
     ExperimentConfig,
+    _blas_threads,
+    _openblas_libraries,
     load_dataset,
     load_experiment_config,
     persist_results,
@@ -202,12 +207,100 @@ def test_summary_rows_recomputable(tmp_path):
         assert mean.nmi == float(np.mean([r.nmi for r in cells]))
 
 
+def _grid_outputs(cfg):
+    """results.csv text and {name: bytes} of the saved Z files of one run."""
+    csv = rows_to_csv(run_experiment(cfg)[0])
+    return csv, {p.name: p.read_bytes() for p in Path(cfg.out_dir).glob("z_*.csv")}
+
+
 def test_grid_deterministic_and_worker_invariant(tmp_path, monkeypatch):
-    cfg = small_config(tmp_path)
-    a = rows_to_csv(run_experiment(cfg)[0])
-    monkeypatch.setenv("SIMILEARN_WORKERS", "3")
-    b = rows_to_csv(run_experiment(cfg)[0])
-    assert a == b
+    cfg = small_config(tmp_path, save_z=True)
+    outputs = []
+    for workers in ("1", None, "3"):
+        if workers is None:
+            monkeypatch.delenv("SIMILEARN_WORKERS", raising=False)
+        else:
+            monkeypatch.setenv("SIMILEARN_WORKERS", workers)
+        outputs.append(_grid_outputs(cfg))
+    assert len(outputs[0][1]) == 24
+    assert outputs[0] == outputs[1] == outputs[2]
+
+
+def test_grid_at_default_workers_matches_single_threaded_blas(tmp_path, monkeypatch):
+    # at n = 100 OpenBLAS on more than one thread changes the bits of Z;
+    # unpinned, the budget alone must give the one-thread results
+    cfg = small_config(tmp_path, regularizers=["sparse"], max_iter=5, save_z=True)
+    write_blob_files(tmp_path, n_per=50)  # over small_config's n = 8 files
+    monkeypatch.delenv("SIMILEARN_WORKERS", raising=False)
+    default = _grid_outputs(cfg)
+    monkeypatch.setenv("SIMILEARN_WORKERS", "1")
+    with _blas_threads(1):
+        pinned = _grid_outputs(cfg)
+    assert len(default[1]) == 12
+    assert default == pinned
+
+
+@pytest.fixture
+def blas_at_two_threads():
+    """Every OpenBLAS library at two threads (where it allows), put back after."""
+    libs = _openblas_libraries()
+    original = [get() for _, get, _ in libs]
+    for _, _, set_ in libs:
+        set_(2)
+    yield libs
+    for (_, _, set_), threads in zip(libs, original):
+        set_(threads)
+
+
+@pytest.mark.parametrize("fail_cells", [False, True])
+def test_blas_thread_counts_restored_after_the_grid(
+    tmp_path, monkeypatch, blas_at_two_threads, fail_cells
+):
+    if fail_cells:
+        def solve_or_fail(K, config, **kwargs):
+            if config.regularizer == "low_rank":
+                raise LinearSolveError("injected")
+            return solver.solve(K, config, **kwargs)
+
+        monkeypatch.setattr(harness, "solve", solve_or_fail)
+    before = [get() for _, get, _ in blas_at_two_threads]
+    monkeypatch.setenv("SIMILEARN_WORKERS", "64")
+    _, info = run_experiment(small_config(tmp_path, max_iter=5))
+    assert info["n_failed"] == (12 if fail_cells else 0)
+    assert [get() for _, get, _ in blas_at_two_threads] == before
+    assert [lib["library"] for lib in info["blas_threads"]] == [
+        path for path, _, _ in blas_at_two_threads
+    ]
+    assert [lib["before"] for lib in info["blas_threads"]] == before
+    assert all(lib["during"] == 1 for lib in info["blas_threads"])
+
+
+def test_blas_thread_counts_restored_when_the_pool_raises(
+    tmp_path, monkeypatch, blas_at_two_threads
+):
+    def interrupt(*args, **kwargs):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(harness, "solve", interrupt)
+    before = [get() for _, get, _ in blas_at_two_threads]
+    with pytest.raises(KeyboardInterrupt):
+        run_experiment(small_config(tmp_path, max_iter=5))
+    assert [get() for _, get, _ in blas_at_two_threads] == before
+
+
+def test_default_workers_are_the_usable_cpus(tmp_path, monkeypatch):
+    monkeypatch.delenv("SIMILEARN_WORKERS", raising=False)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 2, 5}, raising=False)
+    _, info = run_experiment(small_config(tmp_path, max_iter=5))
+    assert info["workers"] == info["cpus"] == 3
+
+
+def test_default_workers_fall_back_to_cpu_count(tmp_path, monkeypatch):
+    monkeypatch.delenv("SIMILEARN_WORKERS", raising=False)
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 5)
+    _, info = run_experiment(small_config(tmp_path, max_iter=5))
+    assert info["workers"] == info["cpus"] == 5
 
 
 def test_grid_cells_skip_the_objective_trace(tmp_path, monkeypatch):
@@ -335,11 +428,43 @@ def test_benchmark_end_to_end_deterministic(tmp_path):
     assert manifest["n_cells"] == 12
 
 
+def test_manifest_records_workers_and_blas_threads(tmp_path, monkeypatch, blas_at_two_threads):
+    fp, lp = write_blob_files(tmp_path)
+    cfg = {"task": "clustering", "dataset": str(fp), "labels": str(lp),
+           "out_dir": str(tmp_path / "out"), "regularizers": ["sparse"], "max_iter": 5}
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg))
+    monkeypatch.setenv("SIMILEARN_WORKERS", "3")
+    _, manifest_path = run_benchmark(cfg_path)
+    manifest = json.loads(manifest_path.read_text())
+    assert manifest["workers"] == 3
+    assert manifest["cpus"] == len(os.sched_getaffinity(0))
+    budget = max(1, manifest["cpus"] // 3)
+    assert manifest["blas_threads"] == [
+        {"library": path, "before": get(), "during": min(get(), budget)}
+        for path, get, _ in blas_at_two_threads
+    ]
+
+
 def test_workers_variable_checked_before_reading_data(tmp_path, monkeypatch):
     cfg = small_config(tmp_path, dataset=str(tmp_path / "missing.csv"))
     monkeypatch.setenv("SIMILEARN_WORKERS", "abc")
     with pytest.raises(ValueError, match="SIMILEARN_WORKERS"):
         run_experiment(cfg)
+
+
+@pytest.mark.parametrize("value", ["0", "-2", "1.5", ""])
+def test_workers_variable_must_be_a_positive_integer(tmp_path, monkeypatch, capsys, value):
+    fp, lp = write_blob_files(tmp_path)
+    cfg = {"task": "clustering", "dataset": str(fp), "labels": str(lp),
+           "out_dir": str(tmp_path / "out")}
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    monkeypatch.setenv("SIMILEARN_WORKERS", value)
+    assert main(["benchmark", "--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: SIMILEARN_WORKERS must be a positive integer, got {value!r}\n"
+    assert not (tmp_path / "out" / "results.csv").exists()
 
 
 def _readme_config_table():

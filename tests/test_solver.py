@@ -1,10 +1,13 @@
 import re
+import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import LinAlgError, cho_factor, cho_solve
+from scipy.linalg.lapack import dposv
 
 from conftest import random_psd_kernel
 from test_acceptance import _pgd_reference
@@ -20,6 +23,7 @@ from similearn.kernels import (
 )
 from similearn.solver import (
     SolverConfig,
+    _solve_spd,
     diagnostics_dict,
     evaluate_objective,
     prox_l1,
@@ -288,6 +292,80 @@ def test_update_w_h_report_non_positive_definite_systems():
         with pytest.raises(LinearSolveError, match=re.escape(f"{what}: {msg}")) as e:
             update(np.eye(2), np.eye(2), Zero, Zero, mu=-1.0, alpha=0.0)
         assert e.value.cond == 1.0
+
+
+@st.composite
+def spd_systems(draw):
+    """(A, B): A = (c M) M' + mu I formed by gemm, so not exactly symmetric.
+
+    n is 1..60 with 1..n right-hand sides, and either array may come in
+    C or Fortran order.
+    """
+    n = draw(st.integers(1, 60))
+    nrhs = draw(st.integers(1, n))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    M = rng.standard_normal((n, n))
+    A = (10.0 ** draw(st.floats(-3, 3)) * M) @ M.T
+    A.flat[:: n + 1] += 10.0 ** draw(st.floats(-3, 3))
+    B = rng.standard_normal((n, nrhs))
+    order = st.sampled_from("CF")
+    return np.asarray(A, order=draw(order)), np.asarray(B, order=draw(order))
+
+
+def _bits(X):
+    return X.dtype, X.shape, X.flags.f_contiguous, X.tobytes(order="A")
+
+
+@settings(max_examples=300, deadline=None)
+@given(spd_systems())
+def test_solve_spd_is_bitwise_scipy_dposv(case):
+    A, B = case
+    A0, B0 = A.copy(order="A"), B.copy(order="A")
+    X = _solve_spd(A, B, "W update")
+    assert _bits(X) == _bits(dposv(A, B)[1])
+    assert _bits(A) == _bits(A0) and _bits(B) == _bits(B0)
+
+
+def test_solve_spd_not_positive_definite_names_step_and_cond():
+    A = np.diag([1.0, -2.0])
+    msg = "H update: left-hand side is not positive definite (cond ~ 2.000e+00); increase mu"
+    with pytest.raises(LinearSolveError, match=re.escape(msg)) as e:
+        _solve_spd(A, np.eye(2), "H update")
+    assert e.value.cond == 2.0
+
+
+def test_solve_spd_raises_on_an_illegal_argument(monkeypatch):
+    def rejects_lda(uplo, n, nrhs, a, lda, b, ldb, info):
+        info.value = -5
+
+    monkeypatch.setattr(solver_module, "_DPOSV", rejects_lda)
+    with pytest.raises(LinearSolveError, match="W update: dposv rejected its argument 5"):
+        _solve_spd(np.eye(3), np.eye(3), "W update")
+
+
+def test_solve_spd_rejects_shapes_that_do_not_form_a_system():
+    for A, B in ((np.eye(3), np.eye(2)), (np.ones((3, 2)), np.eye(3)), (np.eye(3), np.ones(3))):
+        with pytest.raises(ValueError, match="W update: cannot solve"):
+            _solve_spd(A, B, "W update")
+
+
+def test_solve_spd_on_concurrent_threads_matches_serial_calls(rng):
+    cases = []
+    for n in (40, 60, 80, 100) * 2:
+        M = rng.standard_normal((n, n))
+        A = (0.2 * M) @ M.T
+        A.flat[:: n + 1] += 1.0
+        cases.append((A, rng.standard_normal((n, n))))
+    serial = [_bits(_solve_spd(A, B, "W update")) for A, B in cases]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            for _ in range(5):
+                got = pool.map(lambda case: _bits(_solve_spd(*case, "W update")), cases)
+                assert list(got) == serial
+    finally:
+        sys.setswitchinterval(interval)
 
 
 def test_update_z_averaging_identity(rng):

@@ -13,9 +13,9 @@ model-selection rule.
 All randomness flows from the single configured seed; reruns with an
 equal config produce byte-identical CSV output. Cells run on a thread
 pool sized by the SIMILEARN_WORKERS environment variable (default: the
-usable CPUs), which holds OpenBLAS to cpus // workers threads (at least
-one) while it runs; rows are sorted canonically before persistence, so
-worker count and completion order never change the output.
+usable CPUs), which holds OpenBLAS to one thread per worker while it
+runs; rows are sorted canonically before persistence, so worker count,
+completion order and thread variables never change the output.
 """
 
 import contextlib
@@ -335,8 +335,9 @@ def run_experiment(config: ExperimentConfig):
             failure = dict(where, error=f"{type(e).__name__}: {e}")
             return [ResultRow(**cell, converged=False)], failure
 
-    # each worker's BLAS calls get its share of the CPUs
-    with _blas_threads(max(1, cpus // workers)) as blas:
+    # one BLAS thread per worker: the workers are the parallelism, and
+    # multi-threaded OpenBLAS would change the last bits of Z
+    with _single_threaded_blas() as blas:
         with ThreadPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(run_cell, jobs))
 
@@ -359,8 +360,7 @@ def _openblas_libraries():
     found = []
     for path in (p for p in paths if "openblas" in Path(p).name.lower() and os.path.isfile(p)):
         lib = ctypes.CDLL(path)
-        for name in ("scipy_openblas_{}_num_threads64_", "scipy_openblas_{}_num_threads",
-                     "openblas_{}_num_threads"):
+        for name in ("scipy_openblas_{}_num_threads64_", "scipy_openblas_{}_num_threads"):
             get, set_ = (getattr(lib, name.format(verb), None) for verb in ("get", "set"))
             if get and set_:
                 get.argtypes, get.restype = [], ctypes.c_int
@@ -371,15 +371,15 @@ def _openblas_libraries():
 
 
 @contextlib.contextmanager
-def _blas_threads(limit):
-    """Hold each OpenBLAS library to at most ``limit`` threads, restoring it on exit.
+def _single_threaded_blas():
+    """Hold each OpenBLAS library to one thread, restoring its count on exit.
 
     Yields their [{library, before, during}] thread counts, [] where none is found.
     """
     libs = [(path, get, set_, get()) for path, get, set_ in _openblas_libraries()]
     try:
-        for _, _, set_, before in libs:
-            set_(min(before, limit))
+        for _, _, set_, _ in libs:
+            set_(1)
         yield [dict(library=path, before=before, during=get()) for path, get, _, before in libs]
     finally:
         for _, _, set_, before in libs:

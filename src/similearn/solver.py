@@ -157,31 +157,27 @@ def _factor_spd(A, message):
         raise LinearSolveError(message.format(cond=f"{cond:.3e}"), cond=cond) from e
 
 
-def _cython_lapack(name, *argtypes):
-    """A routine of scipy.linalg.cython_lapack as a ctypes function, which drops the GIL."""
-    capsule, api = cython_lapack.__pyx_capi__[name], ctypes.pythonapi
-    get_name = ctypes.PYFUNCTYPE(ctypes.c_char_p, ctypes.py_object)(("PyCapsule_GetName", api))
-    get = ctypes.PYFUNCTYPE(ctypes.c_void_p, ctypes.py_object, ctypes.c_char_p)(
-        ("PyCapsule_GetPointer", api)
-    )
-    return ctypes.CFUNCTYPE(None, *argtypes)(get(capsule, get_name(capsule)))
-
-
-_INT, _PTR = ctypes.POINTER(ctypes.c_int), ctypes.c_void_p
-# dposv(uplo, n, nrhs, a, lda, b, ldb, info)
-_DPOSV = _cython_lapack("dposv", ctypes.c_char_p, _INT, _INT, _PTR, _INT, _PTR, _INT, _INT)
+# dposv(uplo, n, nrhs, a, lda, b, ldb, info): the function pointer scipy's
+# Cython LAPACK API exports, called through ctypes, which releases the GIL
+_INT, _PTR, _OBJ = ctypes.POINTER(ctypes.c_int), ctypes.c_void_p, ctypes.py_object
+_capsule = cython_lapack.__pyx_capi__["dposv"]
+_capsule_name = ctypes.PYFUNCTYPE(ctypes.c_char_p, _OBJ)(("PyCapsule_GetName", ctypes.pythonapi))
+_capsule_pointer = ctypes.PYFUNCTYPE(_PTR, _OBJ, ctypes.c_char_p)(
+    ("PyCapsule_GetPointer", ctypes.pythonapi)
+)
+_DPOSV = ctypes.CFUNCTYPE(None, ctypes.c_char_p, _INT, _INT, _PTR, _INT, _PTR, _INT, _INT)(
+    _capsule_pointer(_capsule, _capsule_name(_capsule))
+)
 
 
 def _solve_spd(A, B, what):
     """Solve A X = B for symmetric positive definite A via Cholesky.
 
-    One LAPACK dposv call through ctypes, which releases the GIL that
-    scipy.linalg.lapack.dposv holds, so W and H steps on a thread pool
-    run in parallel. It is that wrapper's routine, given A and B copied
-    to Fortran order as the wrapper copies them and uplo "U", so X is
-    bit-for-bit the wrapper's. The inputs come from iterates the solve
-    loop has already checked for finiteness; only the shapes the
-    pointers are read with are checked here.
+    One LAPACK dposv call through ctypes, so unlike scipy's f2py dposv
+    it runs without the GIL and W and H steps on a thread pool overlap.
+    A and B are copied to Fortran order and uplo is "U", as that wrapper
+    does, so X is bit-for-bit its result. The inputs are iterates the
+    solve loop has checked for finiteness; only shapes are checked here.
     """
     factor = np.array(A, dtype=float, order="F")  # dposv overwrites it
     X = np.array(B, dtype=float, order="F")

@@ -1,3 +1,4 @@
+import contextlib
 import json
 import os
 from dataclasses import MISSING, fields
@@ -16,8 +17,8 @@ from similearn.harness import (
     CSV_COLUMNS,
     MEAN_KERNEL,
     ExperimentConfig,
-    _blas_threads,
     _openblas_libraries,
+    _single_threaded_blas,
     load_dataset,
     load_experiment_config,
     persist_results,
@@ -226,20 +227,6 @@ def test_grid_deterministic_and_worker_invariant(tmp_path, monkeypatch):
     assert outputs[0] == outputs[1] == outputs[2]
 
 
-def test_grid_at_default_workers_matches_single_threaded_blas(tmp_path, monkeypatch):
-    # at n = 100 OpenBLAS on more than one thread changes the bits of Z;
-    # unpinned, the budget alone must give the one-thread results
-    cfg = small_config(tmp_path, regularizers=["sparse"], max_iter=5, save_z=True)
-    write_blob_files(tmp_path, n_per=50)  # over small_config's n = 8 files
-    monkeypatch.delenv("SIMILEARN_WORKERS", raising=False)
-    default = _grid_outputs(cfg)
-    monkeypatch.setenv("SIMILEARN_WORKERS", "1")
-    with _blas_threads(1):
-        pinned = _grid_outputs(cfg)
-    assert len(default[1]) == 12
-    assert default == pinned
-
-
 @pytest.fixture
 def blas_at_two_threads():
     """Every OpenBLAS library at two threads (where it allows), put back after."""
@@ -250,6 +237,28 @@ def blas_at_two_threads():
     yield libs
     for (_, _, set_), threads in zip(libs, original):
         set_(threads)
+
+
+@pytest.mark.parametrize("workers", [None, "1"])
+def test_grid_at_any_workers_matches_single_threaded_blas(
+    tmp_path, monkeypatch, blas_at_two_threads, workers
+):
+    # at n = 100 OpenBLAS on more than one thread changes the bits of Z;
+    # with BLAS left at two threads, the budget alone must give the
+    # one-thread results, at the default workers and at one worker
+    cfg = small_config(tmp_path, regularizers=["sparse"], max_iter=5, save_z=True)
+    write_blob_files(tmp_path, n_per=50)  # over small_config's n = 8 files
+    monkeypatch.setenv("SIMILEARN_WORKERS", "1")
+    with _single_threaded_blas(), monkeypatch.context() as m:  # pinned from outside
+        m.setattr(harness, "_single_threaded_blas", lambda: contextlib.nullcontext([]))
+        pinned = _grid_outputs(cfg)
+    if workers is None:
+        monkeypatch.delenv("SIMILEARN_WORKERS")
+    else:
+        monkeypatch.setenv("SIMILEARN_WORKERS", workers)
+    unpinned = _grid_outputs(cfg)
+    assert len(pinned[1]) == 12
+    assert unpinned == pinned
 
 
 @pytest.mark.parametrize("fail_cells", [False, True])
@@ -264,7 +273,7 @@ def test_blas_thread_counts_restored_after_the_grid(
 
         monkeypatch.setattr(harness, "solve", solve_or_fail)
     before = [get() for _, get, _ in blas_at_two_threads]
-    monkeypatch.setenv("SIMILEARN_WORKERS", "64")
+    monkeypatch.setenv("SIMILEARN_WORKERS", "3")
     _, info = run_experiment(small_config(tmp_path, max_iter=5))
     assert info["n_failed"] == (12 if fail_cells else 0)
     assert [get() for _, get, _ in blas_at_two_threads] == before
@@ -438,10 +447,10 @@ def test_manifest_records_workers_and_blas_threads(tmp_path, monkeypatch, blas_a
     _, manifest_path = run_benchmark(cfg_path)
     manifest = json.loads(manifest_path.read_text())
     assert manifest["workers"] == 3
-    assert manifest["cpus"] == len(os.sched_getaffinity(0))
-    budget = max(1, manifest["cpus"] // 3)
+    affinity = getattr(os, "sched_getaffinity", None)
+    assert manifest["cpus"] == (len(affinity(0)) if affinity else os.cpu_count() or 1)
     assert manifest["blas_threads"] == [
-        {"library": path, "before": get(), "during": min(get(), budget)}
+        {"library": path, "before": get(), "during": 1}
         for path, get, _ in blas_at_two_threads
     ]
 

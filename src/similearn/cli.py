@@ -20,7 +20,7 @@ from dataclasses import fields
 from pathlib import Path
 
 from . import __version__
-from .errors import DataFormatError, DegenerateKernelError, DivergenceError, LinearSolveError
+from .errors import DivergenceError, LinearSolveError
 from .graph import cluster
 from .harness import dense_labels, load_dataset, run_benchmark
 from .io import read_labels, read_matrix, write_json, write_matrix
@@ -29,14 +29,8 @@ from .metrics import accuracy, nmi
 from .semisupervised import DEFAULT_GAMMA, DEFAULT_REPEATS, ssl_experiment
 from .solver import REGULARIZERS, SolverConfig, canonical_regularizer, diagnostics_dict, solve
 
-USER_ERRORS = (
-    DataFormatError,
-    DegenerateKernelError,
-    DivergenceError,
-    LinearSolveError,
-    ValueError,
-    OSError,
-)
+# DataFormatError and DegenerateKernelError are ValueErrors
+USER_ERRORS = (DivergenceError, LinearSolveError, ValueError, OSError)
 
 
 def _cmd_kernels(args):
@@ -51,7 +45,8 @@ def _cmd_kernels(args):
             {
                 "family": km.spec.family,
                 "params": km.spec.params(),
-                "normalized": km.normalized,
+                # build_kernel_bank normalizes every kernel
+                "normalized": True,
                 "fallback_used": km.fallback_used,
             },
         )

@@ -13,42 +13,29 @@ from scipy.spatial.distance import cdist
 
 
 @dataclass
-class SimilarityGraph:
-    weights: np.ndarray
-    degree: np.ndarray
-
-
-@dataclass
-class SpectralEmbedding:
-    vectors: np.ndarray
-    eigenvalues: np.ndarray
-
-
-@dataclass
 class ClusteringResult:
     assignments: np.ndarray
     inertia: float
 
 
-def build_graph(Z: np.ndarray) -> SimilarityGraph:
+def build_graph(Z: np.ndarray) -> np.ndarray:
     """S = (|Z| + |Z'|)/2; exactly symmetric, nonnegative, zero diagonal."""
     A = np.abs(np.asarray(Z, dtype=float))
-    S = (A + A.T) / 2.0
-    return SimilarityGraph(weights=S, degree=S.sum(axis=1))
+    return (A + A.T) / 2.0
 
 
-def laplacian(graph: SimilarityGraph) -> np.ndarray:
-    """Unnormalized graph Laplacian diag(degree) - S."""
-    return np.diag(graph.degree) - graph.weights
+def laplacian(S: np.ndarray) -> np.ndarray:
+    """Unnormalized graph Laplacian diag(rowsum(S)) - S."""
+    return np.diag(S.sum(axis=1)) - S
 
 
-def spectral_embed(L: np.ndarray, c: int) -> SpectralEmbedding:
-    """Eigenvectors of the c smallest eigenvalues of a symmetric L."""
+def spectral_embed(L: np.ndarray, c: int) -> np.ndarray:
+    """n x c eigenvectors of the c smallest eigenvalues of a symmetric L."""
     n = L.shape[0]
     if not 1 <= c <= n:
         raise ValueError(f"need 1 <= c <= n, got c={c}, n={n}")
-    evals, evecs = np.linalg.eigh(L)
-    return SpectralEmbedding(vectors=evecs[:, :c], eigenvalues=evals[:c])
+    _, evecs = np.linalg.eigh(L)
+    return evecs[:, :c]
 
 
 def _kmeanspp(X, c, rng):
@@ -128,5 +115,5 @@ def kmeans(X, c, seed, restarts=20, max_iter=300, tol=1e-6) -> ClusteringResult:
 
 def cluster(Z: np.ndarray, c: int, seed: int) -> ClusteringResult:
     """Full pipeline: graph, Laplacian, spectral embedding, k-means."""
-    emb = spectral_embed(laplacian(build_graph(Z)), c)
-    return kmeans(emb.vectors, c, seed=seed, restarts=20)
+    V = spectral_embed(laplacian(build_graph(Z)), c)
+    return kmeans(V, c, seed=seed, restarts=20)

@@ -82,7 +82,6 @@ class KernelSpec:
 class KernelMatrix:
     values: np.ndarray
     spec: KernelSpec
-    normalized: bool = False
     fallback_used: bool = False
 
 
@@ -102,7 +101,7 @@ def compute_kernel(data: Dataset, spec: KernelSpec) -> KernelMatrix:
     Returns
     -------
     KernelMatrix
-        With ``normalized=False``.
+        Not yet normalized.
 
     Raises
     ------
@@ -128,7 +127,7 @@ def compute_kernel(data: Dataset, spec: KernelSpec) -> KernelMatrix:
         raise ValueError(f"unknown kernel family {spec.family!r}")
     # enforce exact symmetry lost to floating-point in the gram products
     K = (K + K.T) / 2.0
-    return KernelMatrix(values=K, spec=spec, normalized=False)
+    return KernelMatrix(values=K, spec=spec)
 
 
 def kernel_squared_distances(K: np.ndarray) -> np.ndarray:
@@ -170,12 +169,7 @@ def normalize_kernel(km: KernelMatrix) -> KernelMatrix:
         fallback = True
         if scale == 0.0:
             raise DegenerateKernelError("zero kernel matrix cannot be normalized")
-    return KernelMatrix(
-        values=K / scale,
-        spec=km.spec,
-        normalized=True,
-        fallback_used=fallback,
-    )
+    return KernelMatrix(values=K / scale, spec=km.spec, fallback_used=fallback)
 
 
 def bank_specs(bank: str):

@@ -40,33 +40,27 @@ def contingency(pred, truth) -> np.ndarray:
 def hungarian(cost) -> np.ndarray:
     """Minimum-cost injective row-to-column assignment.
 
-    Rectangular inputs are zero-padded to square first. Returns, per
-    row, the assigned column, or -1 for rows matched to padding.
+    Every row is matched when rows do not outnumber columns; otherwise
+    every column is. Returns, per row, the assigned column, or -1 for a
+    row left unmatched.
     """
     cost = np.asarray(cost, dtype=float)
     if not np.all(np.isfinite(cost)):
         raise ValueError("cost matrix contains non-finite entries")
-    r, c = cost.shape
-    size = max(r, c)
-    padded = np.zeros((size, size))
-    padded[:r, :c] = cost
-    rows, cols = linear_sum_assignment(padded)
-    out = np.full(r, -1, dtype=int)
-    for i, j in zip(rows, cols):
-        if i < r and j < c:
-            out[i] = j
+    rows, cols = linear_sum_assignment(cost)
+    out = np.full(cost.shape[0], -1, dtype=int)
+    out[rows] = cols
     return out
 
 
 def accuracy(pred, truth) -> float:
     """Best achievable agreement under one-to-one cluster-to-class mapping."""
-    pred, truth = _check_pair(pred, truth)
     w = contingency(pred, truth)
-    # negate counts so minimum cost = maximum agreement; the zero padding
-    # then reads as "maps to nothing", which is what unmatched clusters mean
+    # negate counts so minimum cost = maximum agreement; surplus clusters
+    # stay unmatched, which is what they mean
     match = hungarian(-w.astype(float))
     total = sum(w[i, j] for i, j in enumerate(match) if j >= 0)
-    return float(total) / pred.size
+    return float(total) / int(w.sum())
 
 
 def nmi(pred, truth) -> float:
@@ -76,10 +70,8 @@ def nmi(pred, truth) -> float:
     are identical (1.0); a single-group partition against a real split
     carries no information (0.0).
     """
-    pred, truth = _check_pair(pred, truth)
     w = contingency(pred, truth)
-    n = pred.size
-    p = w / n
+    p = w / int(w.sum())
     pi = p.sum(axis=1)
     pj = p.sum(axis=0)
     hi = float(-np.sum(pi[pi > 0] * np.log(pi[pi > 0])))

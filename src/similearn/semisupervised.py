@@ -2,8 +2,8 @@
 
 Implements local-and-global-consistency label propagation: given a
 Laplacian L, a partial one-hot label matrix Y and a fitting weight
-gamma, the score matrix solves (L + gamma I) F = gamma Y. Predictions
-are row argmaxes with ties broken toward the lowest class id.
+gamma, the score matrix solves (L + gamma I) F = gamma Y. ssl_experiment
+predicts row argmaxes, with ties broken toward the lowest class id.
 
 ssl_experiment runs the stratified-sampling protocol: per repeat, a
 fraction of each class is labeled, labels are propagated over the graph
@@ -27,52 +27,36 @@ DEFAULT_GAMMA = 1.0
 
 
 @dataclass
-class LabelMatrix:
-    """One-hot labels on labeled rows, all-zero rows elsewhere."""
-
-    values: np.ndarray
-    labeled_mask: np.ndarray
-
-
-@dataclass
-class PropagationResult:
-    scores: np.ndarray
-    predictions: np.ndarray
-
-
-@dataclass
 class SSLResult:
     mean_acc: float
     std_acc: float
     per_repeat: list = field(default_factory=list)
 
 
-def make_label_matrix(labels, mask, c) -> LabelMatrix:
-    """Build the n x c partial label matrix from ground truth and a mask."""
+def make_label_matrix(labels, mask, c) -> np.ndarray:
+    """n x c partial label matrix: one-hot on masked rows, zero elsewhere."""
     labels = np.asarray(labels)
     mask = np.asarray(mask, dtype=bool)
-    n = labels.shape[0]
-    Y = np.zeros((n, c))
+    Y = np.zeros((labels.shape[0], c))
     idx = np.flatnonzero(mask)
     Y[idx, labels[idx]] = 1.0
-    return LabelMatrix(values=Y, labeled_mask=mask)
+    return Y
 
 
-def lgc_propagate(L, Y, gamma, factor=None) -> PropagationResult:
-    """Solve (L + gamma I) F = gamma Y and take row argmaxes.
+def lgc_propagate(L, Y, gamma, factor=None) -> np.ndarray:
+    """Scores F solving (L + gamma I) F = gamma Y.
 
     ``factor`` is an optional precomputed cho_factor of (L + gamma I);
     ssl_experiment shares one factorization across repeats.
     """
     _check_gamma(gamma)
-    Yv = Y.values if isinstance(Y, LabelMatrix) else np.asarray(Y, dtype=float)
-    n = Yv.shape[0]
+    Y = np.asarray(Y, dtype=float)
+    n = Y.shape[0]
     if L.shape != (n, n):
-        raise ValueError(f"shape mismatch: L {L.shape}, Y {Yv.shape}")
+        raise ValueError(f"shape mismatch: L {L.shape}, Y {Y.shape}")
     if factor is None:
         factor = _lgc_factor(L, gamma)
-    F = gamma * cho_solve(factor, Yv)
-    return PropagationResult(scores=F, predictions=F.argmax(axis=1))
+    return gamma * cho_solve(factor, Y)
 
 
 def _lgc_factor(L, gamma):
@@ -154,7 +138,7 @@ def ssl_experiment(
         for g, k in zip(groups, sizes):
             mask[rng.choice(g, size=k, replace=False)] = True
         Y = make_label_matrix(labels, mask, c)
-        pred = lgc_propagate(L, Y, gamma, factor=factor).predictions
+        pred = lgc_propagate(L, Y, gamma, factor=factor).argmax(axis=1)
         unlabeled = ~mask
         accs.append(float((pred[unlabeled] == labels[unlabeled]).mean()))
     return SSLResult(

@@ -77,7 +77,8 @@ def test_normalize_identity_example():
     km = KernelMatrix(values=np.eye(2), spec=KernelSpec("linear"))
     out = normalize_kernel(km)
     np.testing.assert_allclose(out.values, [[0.5, 0.0], [0.0, 0.5]])
-    assert out.normalized and not out.fallback_used
+    assert abs(kernel_squared_distances(out.values).max() - 1.0) <= 1e-12
+    assert not out.fallback_used
 
 
 def test_normalize_fallback_all_identical():
@@ -125,7 +126,8 @@ def test_bank_sizes_and_flags():
     bank7 = build_kernel_bank(data, "ssl7")
     assert len(bank12) == 12
     assert len(bank7) == 7
-    assert all(km.normalized for km in bank12 + bank7)
+    for km in bank12 + bank7:
+        assert abs(kernel_squared_distances(km.values).max() - 1.0) <= 1e-12
 
 
 def test_bank_composition():

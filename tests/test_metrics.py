@@ -138,15 +138,27 @@ def test_hungarian_identity():
     assert np.array_equal(hungarian(cost), [0, 1])
 
 
+def _exhaustive_min_cost(cost):
+    """Least total cost over injective maps of the smaller side into the larger."""
+    r, c = cost.shape
+    if r <= c:
+        maps = itertools.permutations(range(c), r)
+        return min(sum(cost[i, p[i]] for i in range(r)) for p in maps)
+    maps = itertools.permutations(range(r), c)
+    return min(sum(cost[p[j], j] for j in range(c)) for p in maps)
+
+
 def test_hungarian_matches_exhaustive(rng):
-    for trial in range(100):
-        cost = rng.integers(0, 20, size=(3, 3)).astype(float)
-        got = hungarian(cost)
-        best = min(
-            sum(cost[i, p[i]] for i in range(3))
-            for p in itertools.permutations(range(3))
-        )
-        assert sum(cost[i, got[i]] for i in range(3)) == pytest.approx(best)
+    for r, c in [(3, 3), (2, 3), (3, 2), (4, 2)]:
+        for trial in range(100):
+            cost = rng.integers(-10, 20, size=(r, c)).astype(float)
+            got = hungarian(cost)
+            assert got.shape == (r,)
+            assert (got == -1).sum() == max(0, r - c)
+            real = got[got >= 0]
+            assert len(set(real.tolist())) == real.size
+            total = sum(cost[i, j] for i, j in enumerate(got) if j >= 0)
+            assert total == pytest.approx(_exhaustive_min_cost(cost))
 
 
 def test_hungarian_all_equal_costs():
@@ -157,7 +169,7 @@ def test_hungarian_all_equal_costs():
 
 
 def test_hungarian_rectangular_padding():
-    # more rows than columns: exactly one row maps to nothing
+    # more rows than columns: exactly one row stays unmatched
     cost = np.array([[-5.0, -1.0], [-4.0, -2.0], [-3.0, -6.0]])
     got = hungarian(cost)
     assert (got == -1).sum() == 1

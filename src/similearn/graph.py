@@ -2,13 +2,14 @@
 
 The learned Z is symmetrized into a nonnegative similarity graph
 S = (|Z| + |Z'|)/2, turned into the unnormalized Laplacian
-L = diag(rowsum(S)) - S, embedded by the eigenvectors of the c smallest
-eigenvalues, and finished with k-means (k-means++ seeding, restarts).
+L = diag(rowsum(S)) - S, embedded by its c smallest eigenpairs (the only
+ones computed), and finished with k-means (k-means++ seeding, restarts).
 """
 
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import eigh
 from scipy.spatial.distance import cdist
 
 
@@ -34,8 +35,7 @@ def spectral_embed(L: np.ndarray, c: int) -> np.ndarray:
     n = L.shape[0]
     if not 1 <= c <= n:
         raise ValueError(f"need 1 <= c <= n, got c={c}, n={n}")
-    _, evecs = np.linalg.eigh(L)
-    return evecs[:, :c]
+    return eigh(L, subset_by_index=[0, c - 1])[1]
 
 
 def _kmeanspp(X, c, rng):

@@ -6,6 +6,7 @@ single-column CSV of integers. Parse errors always carry the offending
 line number.
 """
 
+import contextlib
 import csv
 import json
 from itertools import islice
@@ -40,8 +41,20 @@ def read_matrix(path) -> np.ndarray:
 
     Fields parse as ``float()`` parses them; the first bad line in file order is reported.
     """
-    rows = []
     with open(path, newline="") as f:
+        with contextlib.suppress(ValueError):  # UnicodeDecodeError included
+            text = f.read()
+            # numpy's C reader, quotes off so that no field spans lines, unless the file may
+            # hold no data, \x1c-\x1f (blank to numpy, not to float()) or a line over csv's limit
+            lines = text.replace("\r", "\n").split("\n")
+            if 0 < max(map(len, lines)) <= csv.field_size_limit() and not any(
+                    c in text for c in "\x1c\x1d\x1e\x1f"):
+                f.seek(0)
+                M = np.loadtxt(f, delimiter=",", ndmin=2, comments=None)
+                if np.isfinite(M).all():
+                    return M
+        f.seek(0)
+        rows = []
         for lineno, row in _records(f, path):
             try:
                 vals = np.array(row, dtype=float)

@@ -62,7 +62,9 @@ def lgc_propagate(L, Y, gamma, factor=None) -> np.ndarray:
 def _lgc_factor(L, gamma):
     """cho_factor of L + gamma I, else LinearSolveError."""
     try:
-        return cho_factor(L + gamma * np.eye(L.shape[0]))
+        A = L + 0.0  # a copy; + 0.0 turns -0.0 into 0.0, as L + gamma * I did
+        A.flat[:: A.shape[0] + 1] += gamma
+        return cho_factor(A)
     except LinAlgError as e:
         raise LinearSolveError(
             "L + gamma I is not positive definite; L must be a PSD Laplacian"

@@ -90,6 +90,30 @@ def test_spectral_embed_rayleigh_identity(rng):
     )
 
 
+def _gapped_laplacian(rng, n, c):
+    """L of a connected graph with c dense blocks joined by weak edges."""
+    block = np.repeat(np.arange(c), -(-n // c))[:n]
+    same = block[:, None] == block[None, :]
+    Z = np.where(same, rng.uniform(0.5, 1.0, (n, n)), rng.uniform(1e-4, 1e-3, (n, n)))
+    np.fill_diagonal(Z, 0.0)
+    return laplacian(build_graph(Z))
+
+
+@pytest.mark.parametrize("n, c", [(30, 1), (30, 3), (41, 5), (24, 8), (12, 12)])
+def test_spectral_embed_matches_full_eigh(rng, n, c):
+    L = _gapped_laplacian(rng, n, c)
+    evals, U = np.linalg.eigh(L)
+    if c < n:
+        assert evals[c] - evals[c - 1] > 1.0
+    U = U[:, :c]
+    V = spectral_embed(L, c)
+    assert V.shape == (n, c)
+    # the same invariant subspace, whatever basis each solver picks
+    assert np.abs(V @ V.T - U @ U.T).max() <= 1e-8
+    assert np.abs(V.T @ V - np.eye(c)).max() <= 1e-8
+    np.testing.assert_allclose(np.diag(V.T @ L @ V), evals[:c], rtol=0, atol=1e-8)
+
+
 def test_spectral_embed_rejects_bad_c():
     L = np.eye(4)
     with pytest.raises(ValueError):

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.linalg import cho_factor, cho_solve
 
 from similearn import semisupervised
 from similearn.errors import LinearSolveError
@@ -92,6 +93,20 @@ def test_lgc_shape_and_gamma_errors():
         lgc_propagate(np.zeros((3, 3)), np.zeros((4, 2)), gamma=1.0)
     with pytest.raises(ValueError):
         lgc_propagate(np.zeros((2, 2)), np.zeros((2, 2)), gamma=0.0)
+
+
+@pytest.mark.parametrize("gamma", [0.1, 1.0, 7.3])
+def test_lgc_factor_matches_dense_shift_bitwise(rng, gamma):
+    """Shifting a copy of L in place gives F with the bits of factoring L + gamma I."""
+    n = 200
+    Z = np.where(rng.random((n, n)) < 0.05, rng.random((n, n)), 0.0)
+    Z[:10] = Z[:, :10] = 0.0  # isolated nodes: zero rows in L
+    L = laplacian(build_graph(Z))
+    Y = make_label_matrix(rng.integers(0, 3, n), rng.random(n) < 0.2, 3)
+    for lap in (L, np.where(L == 0.0, -0.0, L)):
+        want = gamma * cho_solve(cho_factor(lap + gamma * np.eye(n)), Y)
+        got = lgc_propagate(lap, Y, gamma)
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
 # the message of the one LGC factorization path, for lgc_propagate and ssl_experiment

@@ -12,6 +12,9 @@ import numpy as np
 from scipy.linalg import eigh
 from scipy.spatial.distance import cdist
 
+# k-means restarts per call; each restart's Lloyd iteration cap and center-move tolerance
+_RESTARTS, _MAX_ITER, _TOL = 20, 300, 1e-6
+
 
 @dataclass
 class ClusteringResult:
@@ -76,11 +79,10 @@ def _assign(X, centers):
     return assign, inertia, centers
 
 
-def _lloyd(X, centers, max_iter, tol):
+def _lloyd(X, centers):
     c = centers.shape[0]
     prev = np.inf
-    assign, inertia = None, np.inf
-    for _ in range(max_iter):
+    for _ in range(_MAX_ITER):
         assign, inertia, centers = _assign(X, centers)
         # Lloyd steps cannot increase the objective (up to rounding)
         assert inertia <= prev * (1 + 1e-12) + 1e-12
@@ -88,12 +90,12 @@ def _lloyd(X, centers, max_iter, tol):
         new_centers = np.stack([X[assign == k].mean(axis=0) for k in range(c)])
         move = np.sqrt(((new_centers - centers) ** 2).sum(axis=1)).max()
         centers = new_centers
-        if move < tol:
+        if move < _TOL:
             break
     return assign, inertia
 
 
-def kmeans(X, c, seed, restarts=20, max_iter=300, tol=1e-6) -> ClusteringResult:
+def kmeans(X, c, seed) -> ClusteringResult:
     """Best-of-restarts k-means on the rows of X.
 
     Each restart gets its own rng spawned from the master seed, so the
@@ -104,10 +106,10 @@ def kmeans(X, c, seed, restarts=20, max_iter=300, tol=1e-6) -> ClusteringResult:
     if not 1 <= c <= n:
         raise ValueError(f"need 1 <= c <= n, got c={c}, n={n}")
     best_assign, best_inertia = None, np.inf
-    for ss in np.random.SeedSequence(seed).spawn(restarts):
+    for ss in np.random.SeedSequence(seed).spawn(_RESTARTS):
         rng = np.random.default_rng(ss)
         centers = _kmeanspp(X, c, rng)
-        assign, inertia = _lloyd(X, centers.copy(), max_iter, tol)
+        assign, inertia = _lloyd(X, centers.copy())
         if inertia < best_inertia:
             best_assign, best_inertia = assign, inertia
     return ClusteringResult(assignments=best_assign, inertia=best_inertia)
@@ -116,4 +118,4 @@ def kmeans(X, c, seed, restarts=20, max_iter=300, tol=1e-6) -> ClusteringResult:
 def cluster(Z: np.ndarray, c: int, seed: int) -> ClusteringResult:
     """Full pipeline: graph, Laplacian, spectral embedding, k-means."""
     V = spectral_embed(laplacian(build_graph(Z)), c)
-    return kmeans(V, c, seed=seed, restarts=20)
+    return kmeans(V, c, seed)

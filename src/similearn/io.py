@@ -82,16 +82,18 @@ def write_matrix(path, M):
 
 
 def read_labels(path) -> np.ndarray:
-    """Read a single-column CSV of integer class ids."""
+    """Read a single-column CSV of integer class ids below 2**53 in magnitude."""
     M = read_matrix(path)
     if M.shape[1] != 1:
         raise DataFormatError(f"{path}: labels must be a single column")
     vals = M[:, 0]
-    bad = np.flatnonzero(vals != np.round(vals))
+    # from 2**53 on, distinct integers can parse to the same float
+    bad = np.flatnonzero((vals != np.round(vals)) | (np.abs(vals) >= 2.0**53))
     if bad.size:
         with open(path, newline="") as f:
             line, _ = next(islice(_records(f, path), int(bad[0]), None))
-        raise DataFormatError(f"{path}: non-integer label on line {line}", line=line)
+        what = "non-integer label" if abs(vals[bad[0]]) < 2.0**53 else "label of magnitude >= 2**53"
+        raise DataFormatError(f"{path}: {what} on line {line}", line=line)
     return vals.astype(int)
 
 

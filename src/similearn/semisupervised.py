@@ -6,9 +6,9 @@ gamma, the score matrix solves (L + gamma I) F = gamma Y. ssl_experiment
 predicts row argmaxes, with ties broken toward the lowest class id.
 
 ssl_experiment runs the stratified-sampling protocol: per repeat, a
-fraction of each class is labeled, labels are propagated over the graph
-built from a learned coefficient matrix, and accuracy is scored on the
-unlabeled samples only.
+fraction of each class is labeled; all repeats' labels are propagated
+in one solve over the graph built from a learned coefficient matrix,
+and each repeat is scored on its own unlabeled samples only.
 """
 
 import math
@@ -16,11 +16,9 @@ import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import LinAlgError, cho_factor, cho_solve
 
-from .errors import LinearSolveError
 from .graph import build_graph, laplacian
-from .solver import require_number
+from .solver import _solve_spd, require_number
 
 DEFAULT_REPEATS = 20
 DEFAULT_GAMMA = 1.0
@@ -36,39 +34,26 @@ class SSLResult:
 def make_label_matrix(labels, mask, c) -> np.ndarray:
     """n x c partial label matrix: one-hot on masked rows, zero elsewhere."""
     labels = np.asarray(labels)
-    mask = np.asarray(mask, dtype=bool)
     Y = np.zeros((labels.shape[0], c))
     idx = np.flatnonzero(mask)
     Y[idx, labels[idx]] = 1.0
     return Y
 
 
-def lgc_propagate(L, Y, gamma, factor=None) -> np.ndarray:
+def lgc_propagate(L, Y, gamma) -> np.ndarray:
     """Scores F solving (L + gamma I) F = gamma Y.
 
-    ``factor`` is an optional precomputed cho_factor of (L + gamma I);
-    ssl_experiment shares one factorization across repeats.
+    Each column of F depends on its own column of Y alone, so Y may hold
+    several label matrices side by side; ssl_experiment propagates all
+    its repeats in one solve. L and Y must be finite.
     """
     _check_gamma(gamma)
-    Y = np.asarray(Y, dtype=float)
-    n = Y.shape[0]
-    if L.shape != (n, n):
-        raise ValueError(f"shape mismatch: L {L.shape}, Y {Y.shape}")
-    if factor is None:
-        factor = _lgc_factor(L, gamma)
-    return gamma * cho_solve(factor, Y)
-
-
-def _lgc_factor(L, gamma):
-    """cho_factor of L + gamma I, else LinearSolveError."""
-    try:
-        A = L + 0.0  # a copy; + 0.0 turns -0.0 into 0.0, as L + gamma * I did
-        A.flat[:: A.shape[0] + 1] += gamma
-        return cho_factor(A)
-    except LinAlgError as e:
-        raise LinearSolveError(
-            "L + gamma I is not positive definite; L must be a PSD Laplacian"
-        ) from e
+    if not (np.isfinite(L).all() and np.isfinite(Y).all()):
+        raise ValueError("L and Y must be finite")
+    A = L + 0.0  # a copy; + 0.0 turns -0.0 into 0.0, as L + gamma * I did
+    A.flat[:: A.shape[0] + 1] += gamma
+    msg = "L + gamma I is not positive definite; L must be a PSD Laplacian"
+    return gamma * _solve_spd(A, Y, "L + gamma I", msg)  # ValueError on a shape mismatch
 
 
 def check_protocol(fraction, repeats, gamma):
@@ -111,7 +96,7 @@ def ssl_experiment(
         Per-class share of samples to label, rounded up to at least one.
     repeats : int >= 1
         Number of random labeled sets; each gets its own rng spawned
-        from the master seed.
+        from the master seed, and all are propagated in one solve.
     gamma : float > 0
         LGC fitting weight.
 
@@ -130,19 +115,17 @@ def ssl_experiment(
             "no unlabeled samples left to evaluate; lower the fraction"
         )
 
-    L = laplacian(build_graph(Z))
-    factor = _lgc_factor(L, gamma)
-
-    accs = []
-    for ss in np.random.SeedSequence(seed).spawn(repeats):
+    masks = np.zeros((repeats, n), dtype=bool)
+    for mask, ss in zip(masks, np.random.SeedSequence(seed).spawn(repeats)):
         rng = np.random.default_rng(ss)
-        mask = np.zeros(n, dtype=bool)
         for g, k in zip(groups, sizes):
             mask[rng.choice(g, size=k, replace=False)] = True
-        Y = make_label_matrix(labels, mask, c)
-        pred = lgc_propagate(L, Y, gamma, factor=factor).argmax(axis=1)
-        unlabeled = ~mask
-        accs.append(float((pred[unlabeled] == labels[unlabeled]).mean()))
+
+    # one solve for every repeat: their label matrices side by side, c columns each
+    Y = np.hstack([make_label_matrix(labels, mask, c) for mask in masks])
+    F = lgc_propagate(laplacian(build_graph(Z)), Y, gamma)
+    pred = F.reshape(n, repeats, c).argmax(axis=2)
+    accs = [float((pred[~m, r] == labels[~m]).mean()) for r, m in enumerate(masks)]
     return SSLResult(
         mean_acc=float(np.mean(accs)),
         std_acc=float(np.std(accs)),

@@ -41,7 +41,7 @@ import numbers
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import LinAlgError, cho_factor, cho_solve, cython_lapack
+from scipy.linalg import cython_lapack
 
 from .errors import DivergenceError, LinearSolveError
 
@@ -148,15 +148,6 @@ def prox_nuclear(D, tau):
     return (U * np.maximum(s - tau, 0.0)) @ Vt
 
 
-def _factor_spd(A, message):
-    """cho_factor of SPD A, else LinearSolveError(message), {cond} filled in."""
-    try:
-        return cho_factor(A)
-    except LinAlgError as e:
-        cond = float(np.linalg.cond(A))
-        raise LinearSolveError(message.format(cond=f"{cond:.3e}"), cond=cond) from e
-
-
 # dposv(uplo, n, nrhs, a, lda, b, ldb, info): the function pointer scipy's
 # Cython LAPACK API exports, called through ctypes, which releases the GIL
 _INT, _PTR, _OBJ = ctypes.POINTER(ctypes.c_int), ctypes.c_void_p, ctypes.py_object
@@ -170,14 +161,17 @@ _DPOSV = ctypes.CFUNCTYPE(None, ctypes.c_char_p, _INT, _INT, _PTR, _INT, _PTR, _
 )
 
 
-def _solve_spd(A, B, what):
+def _solve_spd(A, B, what, message="{what}: left-hand side is not positive definite"
+               " (cond ~ {cond}); increase mu"):
     """Solve A X = B for symmetric positive definite A via Cholesky.
 
     One LAPACK dposv call through ctypes, so unlike scipy's f2py dposv
     it runs without the GIL and W and H steps on a thread pool overlap.
     A and B are copied to Fortran order and uplo is "U", as that wrapper
-    does, so X is bit-for-bit its result. The inputs are iterates the
-    solve loop has checked for finiteness; only shapes are checked here.
+    does, so X is bit-for-bit its result. dposv does not look for NaN or
+    inf, so callers pass finite A and B; only shapes are checked here.
+    An A that is not positive definite raises LinearSolveError(message)
+    with {what} and {cond}, the condition number of A, filled in.
     """
     factor = np.array(A, dtype=float, order="F")  # dposv overwrites it
     X = np.array(B, dtype=float, order="F")
@@ -185,9 +179,9 @@ def _solve_spd(A, B, what):
         raise ValueError(f"{what}: cannot solve a {factor.shape} system for {X.shape}")
     n, nrhs, info = ctypes.c_int(X.shape[0]), ctypes.c_int(X.shape[1]), ctypes.c_int()
     _DPOSV(b"U", n, nrhs, factor.ctypes.data, n, X.ctypes.data, n, info)
-    if info.value > 0:  # A is not positive definite; _factor_spd raises with its cond
-        msg = f"{what}: left-hand side is not positive definite (cond ~ {{cond}}); increase mu"
-        _factor_spd(A, msg)
+    if info.value > 0:
+        cond = float(np.linalg.cond(A))
+        raise LinearSolveError(message.format(what=what, cond=f"{cond:.3e}"), cond=cond)
     if info.value < 0:
         raise LinearSolveError(f"{what}: dposv rejected its argument {-info.value}")
     return X
@@ -297,7 +291,7 @@ def solve(K, config: SolverConfig, *, trace_objective=True):
 
     Notes
     -----
-    P = (K + mu I)^-1 is formed once, from its Cholesky factor. Each J
+    P = (K + mu I)^-1 is formed once, by one dposv solve. Each J
     step is one product with P, and Z and H start at the least-squares
     representation P K = I - mu P with the diagonal zeroed. Multipliers
     start at zero, and J and W come from their first updates.
@@ -314,12 +308,11 @@ def solve(K, config: SolverConfig, *, trace_objective=True):
         raise ValueError("kernel must be symmetric")
 
     mu, alpha, beta = config.mu, config.alpha, config.beta
-    j_factor = _factor_spd(
-        K + mu * np.eye(n),
+    P = _solve_spd(  # (K + mu I)^-1
+        K + mu * np.eye(n), np.eye(n), "K + mu I",
         "K + mu I is not positive definite; mu must exceed the most "
         "negative kernel eigenvalue (cond ~ {cond})",
     )
-    P = cho_solve(j_factor, np.eye(n))  # (K + mu I)^-1
     Z = -mu * P  # off the diagonal, (K + mu I)^-1 K = I - mu P is -mu P
     np.fill_diagonal(Z, 0.0)
     H = Z

@@ -234,6 +234,29 @@ def test_ssl_relabels_gapped_labels_with_warning(tmp_path):
     assert rc == 0
 
 
+def test_eval_rejects_labels_beyond_2_to_the_53(tmp_path, capsys):
+    pred, truth = tmp_path / "pred.csv", tmp_path / "truth.csv"
+    write_labels(pred, [0, 1, 0, 1])
+    truth.write_text("1e20\n2e20\n1e20\n2e20\n")  # would merge into one class as int64
+    assert main(["eval", "--pred", str(pred), "--truth", str(truth)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error:") and "line 1" in captured.err
+    assert captured.out == ""
+
+
+# S = (|Z| + |Z'|) / 2 overflows on entries of 1e308; the warnings are not under test
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_ssl_on_a_z_whose_graph_overflows_exits_2(tmp_path, capsys):
+    z, lp = tmp_path / "z.csv", tmp_path / "labels.csv"
+    write_matrix(z, np.full((6, 6), 1e308))
+    write_labels(lp, [0, 0, 0, 1, 1, 1])
+    out = tmp_path / "ssl.json"
+    rc = main(["ssl", "--z", str(z), "--labels", str(lp), "--fraction", "0.3", "--out", str(out)])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith("error:")
+    assert not out.exists()
+
+
 def test_cli_reports_data_errors(tmp_path, capsys):
     bad = tmp_path / "bad.csv"
     bad.write_text("1,2\n3\n")

@@ -254,3 +254,15 @@ def test_labels_must_be_integers(tmp_path):
         read_labels(p)
     assert err.value.line == 3
     assert "line 3" in str(err.value)
+
+
+@pytest.mark.parametrize("big", ["1e20", "-1e20", "9007199254740992"])
+def test_labels_must_lie_below_2_to_the_53(tmp_path, big):
+    # from 2**53 on, distinct integers can parse to one float and merge as labels
+    p = tmp_path / "y.csv"
+    p.write_text(f"0\n\n{big}\n")
+    with pytest.raises(DataFormatError, match="magnitude >= 2\\*\\*53 on line 3") as err:
+        read_labels(p)
+    assert err.value.line == 3
+    p.write_text("0\n9007199254740991\n-9007199254740991\n")
+    assert read_labels(p).tolist() == [0, 2**53 - 1, 1 - 2**53]

@@ -109,6 +109,39 @@ def test_lgc_factor_matches_dense_shift_bitwise(rng, gamma):
         assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
+@pytest.mark.parametrize(
+    "n, c, repeats",
+    [(5, 1, 1), (5, 2, 20), (60, 1, 7), (200, 3, 1), (200, 20, 20), (500, 7, 20), (1000, 2, 20)],
+)
+def test_lgc_stacked_labels_match_per_repeat_calls(rng, n, c, repeats):
+    """ssl_experiment's one solve on side-by-side label matrices against one call per repeat.
+
+    Both factor the same matrix the same way and solve column by column, but
+    OpenBLAS's dtrsm may take another kernel path at other widths (n near 500
+    with more than 11 right-hand sides), which moves the last bit; so the
+    columns agree to a few ulps, and bitwise when there is one repeat.
+    """
+    Z = np.where(rng.random((n, n)) < 0.1, rng.random((n, n)), 0.0)
+    L = laplacian(build_graph(Z))
+    Ys = [make_label_matrix(rng.integers(0, c, n), rng.random(n) < 0.3, c) for _ in range(repeats)]
+    stacked = lgc_propagate(L, np.hstack(Ys), 0.7)
+    each = np.hstack([lgc_propagate(L, Y, 0.7) for Y in Ys])
+    assert stacked.shape == (n, repeats * c)
+    assert np.abs(stacked - each).max() <= 8 * np.finfo(float).eps * np.abs(each).max()
+    if repeats == 1:
+        assert np.array_equal(stacked.view(np.uint64), each.view(np.uint64))
+
+
+@pytest.mark.parametrize("where", ["L", "Y"])
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+def test_lgc_rejects_non_finite_input(where, bad):
+    L = laplacian(build_graph(two_block_z(n_per=2)))
+    Y = make_label_matrix([0, 0, 1, 1], [True, False, True, False], 2)
+    (L if where == "L" else Y)[1, 0] = bad
+    with pytest.raises(ValueError, match="finite"):
+        lgc_propagate(L, Y, gamma=1.0)
+
+
 # the message of the one LGC factorization path, for lgc_propagate and ssl_experiment
 PSD_LAPLACIAN = "L must be a PSD Laplacian"
 

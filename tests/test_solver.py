@@ -669,8 +669,14 @@ def test_solve_rejects_bad_kernels():
 
 def test_solve_indefinite_kernel_needs_large_mu():
     K = np.diag([1.0, -5.0])
-    with pytest.raises(LinearSolveError):
+    msg = (
+        "K + mu I is not positive definite; mu must exceed the most negative kernel "
+        "eigenvalue (cond ~ 2.000e+00)"
+    )
+    with pytest.raises(LinearSolveError) as e:
         solve(K, SolverConfig(mu=1.0))
+    assert str(e.value) == msg
+    assert e.value.cond == 2.0
     sol = solve(K, SolverConfig(mu=6.0, max_iter=5))
     assert np.all(np.isfinite(sol.Z))
 

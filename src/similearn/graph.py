@@ -10,7 +10,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import eigh
-from scipy.spatial.distance import cdist
 
 # k-means restarts per call; each restart's Lloyd iteration cap and center-move tolerance
 _RESTARTS, _MAX_ITER, _TOL = 20, 300, 1e-6
@@ -23,14 +22,30 @@ class ClusteringResult:
 
 
 def build_graph(Z: np.ndarray) -> np.ndarray:
-    """S = (|Z| + |Z'|)/2; exactly symmetric, nonnegative, zero diagonal."""
+    """S = (|Z| + |Z'|)/2; exactly symmetric, nonnegative, zero diagonal.
+
+    Raises ValueError when Z is not finite or S overflows.
+    """
     A = np.abs(np.asarray(Z, dtype=float))
-    return (A + A.T) / 2.0
+    with np.errstate(over="ignore"):
+        S = (A + A.T) / 2.0
+    if not np.isfinite(S).all():
+        if not np.isfinite(A).all():
+            raise ValueError("Z must be finite")
+        raise ValueError("Z is too large: S = (|Z| + |Z'|)/2 overflows; rescale Z")
+    return S
 
 
 def laplacian(S: np.ndarray) -> np.ndarray:
-    """Unnormalized graph Laplacian diag(rowsum(S)) - S."""
-    return np.diag(S.sum(axis=1)) - S
+    """Unnormalized graph Laplacian diag(rowsum(S)) - S.
+
+    Raises ValueError when a degree (row sum of S) overflows.
+    """
+    with np.errstate(over="ignore"):
+        degrees = S.sum(axis=1)
+    if not np.isfinite(degrees).all():
+        raise ValueError("Z is too large: a degree of S = (|Z| + |Z'|)/2 overflows; rescale Z")
+    return np.diag(degrees) - S
 
 
 def spectral_embed(L: np.ndarray, c: int) -> np.ndarray:
@@ -66,6 +81,9 @@ def _assign(X, centers):
     center, which can only lower the objective. Returns (assignments,
     inertia, possibly-updated centers).
     """
+    # imported here, not at module level: only k-means needs scipy.spatial
+    from scipy.spatial.distance import cdist
+
     n = X.shape[0]
     d2 = cdist(X, centers, "sqeuclidean")
     assign = d2.argmin(axis=1)

@@ -24,6 +24,7 @@ import datetime
 import itertools
 import numbers
 import os
+import platform
 import time
 import warnings
 from concurrent.futures import ThreadPoolExecutor
@@ -32,6 +33,7 @@ from pathlib import Path
 from typing import Optional
 
 import numpy as np
+import scipy
 
 from . import __version__
 from .graph import cluster
@@ -346,7 +348,8 @@ def run_experiment(config: ExperimentConfig):
     rows += _summarize(rows)
     rows.sort(key=_row_sort_key)
     info = {"n_cells": len(jobs), "n_failed": len(failures), "failures": failures}
-    info.update(workers=workers, cpus=cpus, blas_threads=blas)
+    info.update(workers=workers, cpus=cpus, blas_threads=blas, python=platform.python_version(),
+                numpy=np.__version__, scipy=scipy.__version__)
     return rows, info
 
 

@@ -18,7 +18,6 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
-from scipy.spatial.distance import cdist
 
 from .errors import DegenerateKernelError
 
@@ -112,6 +111,9 @@ def compute_kernel(data: Dataset, spec: KernelSpec) -> KernelMatrix:
     X = np.asarray(data.features, dtype=float)
     _check_finite(X)
     if spec.family == "gaussian":
+        # imported here, not at module level: only Gaussian kernels need scipy.spatial
+        from scipy.spatial.distance import cdist
+
         sq = cdist(X, X, "sqeuclidean")
         d2max = sq.max()
         if d2max == 0.0:

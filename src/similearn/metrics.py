@@ -8,7 +8,6 @@ cancels).
 """
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 
 def _check_pair(pred, truth):
@@ -44,6 +43,9 @@ def hungarian(cost) -> np.ndarray:
     every column is. Returns, per row, the assigned column, or -1 for a
     row left unmatched.
     """
+    # imported here, not at module level: only scoring needs scipy.optimize
+    from scipy.optimize import linear_sum_assignment
+
     cost = np.asarray(cost, dtype=float)
     if not np.all(np.isfinite(cost)):
         raise ValueError("cost matrix contains non-finite entries")

@@ -1,5 +1,9 @@
 import json
+import os
+import subprocess
+import sys
 from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,6 +13,9 @@ from similearn import harness
 from similearn.cli import build_parser, main
 from similearn.io import read_matrix, write_labels, write_matrix
 from similearn.solver import SolverConfig, diagnostics_dict, solve
+
+# the directory the package is imported from, for fresh interpreters
+SRC = Path(harness.__file__).resolve().parents[1]
 
 
 @pytest.fixture
@@ -244,8 +251,7 @@ def test_eval_rejects_labels_beyond_2_to_the_53(tmp_path, capsys):
     assert captured.out == ""
 
 
-# S = (|Z| + |Z'|) / 2 overflows on entries of 1e308; the warnings are not under test
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+# S = (|Z| + |Z'|) / 2 overflows on entries of 1e308; no RuntimeWarning may escape
 def test_ssl_on_a_z_whose_graph_overflows_exits_2(tmp_path, capsys):
     z, lp = tmp_path / "z.csv", tmp_path / "labels.csv"
     write_matrix(z, np.full((6, 6), 1e308))
@@ -253,8 +259,59 @@ def test_ssl_on_a_z_whose_graph_overflows_exits_2(tmp_path, capsys):
     out = tmp_path / "ssl.json"
     rc = main(["ssl", "--z", str(z), "--labels", str(lp), "--fraction", "0.3", "--out", str(out)])
     assert rc == 2
-    assert capsys.readouterr().err.startswith("error:")
+    assert capsys.readouterr().err == (
+        "error: Z is too large: S = (|Z| + |Z'|)/2 overflows; rescale Z\n"
+    )
     assert not out.exists()
+
+
+def test_cluster_on_a_z_whose_graph_overflows_exits_2(tmp_path, capsys):
+    z, lp = tmp_path / "z.csv", tmp_path / "labels.csv"
+    write_matrix(z, np.full((6, 6), 1e308))
+    write_labels(lp, [0, 0, 0, 1, 1, 1])
+    out = tmp_path / "cluster.json"
+    rc = main(["cluster", "--z", str(z), "--classes", "2", "--labels", str(lp), "--out", str(out)])
+    assert rc == 2
+    assert capsys.readouterr().err == (
+        "error: Z is too large: S = (|Z| + |Z'|)/2 overflows; rescale Z\n"
+    )
+    assert not out.exists()
+
+
+# the modules only scoring (scipy.optimize) and Gaussian kernels and k-means
+# (scipy.spatial) need; learn and ssl must start without them
+IMPORT_SET_PROBE = """
+import json
+import sys
+import similearn.cli
+
+def deferred():
+    return sorted(m for m in sys.modules if m.startswith(("scipy.optimize", "scipy.spatial")))
+
+assert deferred() == [], deferred()
+assert "scipy.linalg" in sys.modules
+for argv in sys.argv[1:]:
+    assert similearn.cli.main(json.loads(argv)) == 0, argv
+    assert deferred() == [], (argv, deferred())
+print("ok")
+"""
+
+
+def test_learn_and_ssl_load_neither_scipy_optimize_nor_scipy_spatial(tmp_path):
+    data = two_blobs(n_per=4)
+    kernel, z, lp = tmp_path / "k.csv", tmp_path / "z.csv", tmp_path / "labels.csv"
+    write_matrix(kernel, data.features @ data.features.T)
+    write_labels(lp, data.labels)
+    learn = ["learn", "--kernel", str(kernel), "--reg", "sparse", "--max-iter", "5", "--out", str(z)]
+    ssl = ["ssl", "--z", str(z), "--labels", str(lp), "--fraction", "0.3", "--repeats", "2",
+           "--out", str(tmp_path / "ssl.json")]
+    out = subprocess.run(
+        [sys.executable, "-c", IMPORT_SET_PROBE, json.dumps(learn), json.dumps(ssl)],
+        cwd=tmp_path, env=dict(os.environ, PYTHONPATH=str(SRC)),
+        capture_output=True, text=True,
+    )
+    assert (out.returncode, out.stderr) == (0, "")
+    assert out.stdout.endswith("ok\n")
 
 
 def test_cli_reports_data_errors(tmp_path, capsys):

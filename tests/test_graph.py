@@ -9,6 +9,10 @@ from similearn.graph import (
     spectral_embed,
 )
 from similearn.metrics import accuracy
+from similearn.semisupervised import ssl_experiment
+
+S_OVERFLOWS = r"^Z is too large: S = \(\|Z\| \+ \|Z'\|\)/2 overflows; rescale Z$"
+DEGREE_OVERFLOWS = r"^Z is too large: a degree of S = \(\|Z\| \+ \|Z'\|\)/2 overflows; rescale Z$"
 
 
 def two_block_z(sizes=(5, 5), weight=1.0):
@@ -60,6 +64,50 @@ def test_laplacian_two_components_zero_eigenvalue_multiplicity():
     L = laplacian(build_graph(two_block_z()))
     evals = np.linalg.eigvalsh(L)
     assert (np.abs(evals) < 1e-10).sum() == 2
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e-300, 1e300, 8e306])
+def test_graph_and_laplacian_bitwise_unchanged_in_range(rng, scale):
+    # the formulas before the overflow checks; |Z| < 8e306, so 20 x 8e306 degrees fit
+    Z = rng.uniform(-scale, scale, size=(20, 20))
+    A = np.abs(Z)
+    S = (A + A.T) / 2.0
+    assert build_graph(Z).tobytes() == S.tobytes()
+    assert laplacian(build_graph(Z)).tobytes() == (np.diag(S.sum(axis=1)) - S).tobytes()
+
+
+def test_graph_overflow_names_z():
+    # every |Z| + |Z'| overflows: S itself cannot be formed
+    Z = np.full((6, 6), 1e308)
+    labels = np.array([0, 0, 0, 1, 1, 1])
+    with pytest.raises(ValueError, match=S_OVERFLOWS):
+        build_graph(Z)
+    with pytest.raises(ValueError, match=S_OVERFLOWS):
+        cluster(Z, 2, seed=0)
+    with pytest.raises(ValueError, match=S_OVERFLOWS):
+        ssl_experiment(Z, labels, 0.3, repeats=2)
+
+
+def test_degree_overflow_names_z():
+    # S = 1e306 is finite, but each of the 200 row sums is 2e308
+    Z = np.full((200, 200), 1e306)
+    labels = np.arange(200) % 2
+    S = build_graph(Z)
+    assert np.isfinite(S).all()
+    with pytest.raises(ValueError, match=DEGREE_OVERFLOWS):
+        laplacian(S)
+    with pytest.raises(ValueError, match=DEGREE_OVERFLOWS):
+        cluster(Z, 2, seed=0)
+    with pytest.raises(ValueError, match=DEGREE_OVERFLOWS):
+        ssl_experiment(Z, labels, 0.3, repeats=2)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_graph_rejects_non_finite_z(bad):
+    Z = np.zeros((4, 4))
+    Z[1, 2] = bad
+    with pytest.raises(ValueError, match="^Z must be finite$"):
+        build_graph(Z)
 
 
 def test_spectral_embed_blocks_and_rayleigh():

@@ -1,11 +1,15 @@
 import contextlib
 import json
 import os
+import platform
+import subprocess
+import sys
 from dataclasses import MISSING, fields
 from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy
 
 from conftest import two_blobs
 from similearn import harness, solver
@@ -453,6 +457,47 @@ def test_manifest_records_workers_and_blas_threads(tmp_path, monkeypatch, blas_a
         {"library": path, "before": get(), "during": 1}
         for path, get, _ in blas_at_two_threads
     ]
+    assert manifest["python"] == platform.python_version()
+    assert (manifest["numpy"], manifest["scipy"]) == (np.__version__, scipy.__version__)
+
+
+# runs the grid in a fresh interpreter, where metrics.hungarian imports
+# scipy.optimize for the first time on a worker thread
+DEFERRED_IMPORT_PROBE = """
+import sys
+from similearn.harness import run_benchmark
+
+def loaded():
+    return [m in sys.modules for m in ("scipy.optimize", "scipy.spatial")]
+
+assert loaded() == [False, False], loaded()
+run_benchmark(sys.argv[1])
+assert loaded() == [True, True], loaded()
+"""
+
+
+def test_grid_with_first_imports_on_worker_threads_matches_in_process(tmp_path, monkeypatch):
+    import scipy.optimize  # noqa: F401  # in this process both modules are loaded
+    import scipy.spatial.distance  # noqa: F401
+
+    fp, lp = write_blob_files(tmp_path, n_per=10)
+    monkeypatch.setenv("SIMILEARN_WORKERS", "2")
+    paths = {}
+    for side in ("fresh", "in_process"):
+        cfg = {"task": "clustering", "dataset": str(fp), "labels": str(lp),
+               "out_dir": str(tmp_path / side), "max_iter": 20}
+        paths[side] = tmp_path / f"{side}.json"
+        paths[side].write_text(json.dumps(cfg))
+    src = Path(harness.__file__).resolve().parents[1]
+    out = subprocess.run(
+        [sys.executable, "-c", DEFERRED_IMPORT_PROBE, str(paths["fresh"])],
+        env=dict(os.environ, PYTHONPATH=str(src)), capture_output=True, text=True,
+    )
+    assert (out.returncode, out.stderr) == (0, "")
+    run_benchmark(paths["in_process"])
+    fresh = (tmp_path / "fresh" / "results.csv").read_bytes()
+    assert fresh == (tmp_path / "in_process" / "results.csv").read_bytes()
+    assert json.loads((tmp_path / "fresh" / "manifest.json").read_text())["n_cells"] == 24
 
 
 def test_workers_variable_checked_before_reading_data(tmp_path, monkeypatch):

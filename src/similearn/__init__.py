@@ -26,27 +26,3 @@ from .solver import (
 from .graph import ClusteringResult, cluster, kmeans, spectral_embed
 from .semisupervised import lgc_propagate, ssl_experiment
 from .metrics import accuracy, nmi
-
-__all__ = [
-    "Dataset",
-    "KernelMatrix",
-    "KernelSpec",
-    "build_kernel_bank",
-    "compute_kernel",
-    "normalize_kernel",
-    "SolverConfig",
-    "Solution",
-    "evaluate_objective",
-    "prox_l1",
-    "prox_nuclear",
-    "solve",
-    "ClusteringResult",
-    "cluster",
-    "kmeans",
-    "spectral_embed",
-    "lgc_propagate",
-    "ssl_experiment",
-    "accuracy",
-    "nmi",
-    "__version__",
-]

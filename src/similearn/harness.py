@@ -353,6 +353,12 @@ def run_experiment(config: ExperimentConfig):
     return rows, info
 
 
+# thread-count symbols of scipy-openblas wheels (numpy's ILP64 build, scipy's
+# LP64 one), then the plain ones of older wheels and system OpenBLAS
+_THREAD_SYMBOLS = ("scipy_openblas_{}_num_threads64_", "scipy_openblas_{}_num_threads",
+                   "openblas_{}_num_threads64_", "openblas_{}_num_threads")
+
+
 def _openblas_libraries():
     """(path, get_num_threads, set_num_threads) of each OpenBLAS library in the process."""
     try:
@@ -363,7 +369,7 @@ def _openblas_libraries():
     found = []
     for path in (p for p in paths if "openblas" in Path(p).name.lower() and os.path.isfile(p)):
         lib = ctypes.CDLL(path)
-        for name in ("scipy_openblas_{}_num_threads64_", "scipy_openblas_{}_num_threads"):
+        for name in _THREAD_SYMBOLS:
             get, set_ = (getattr(lib, name.format(verb), None) for verb in ("get", "set"))
             if get and set_:
                 get.argtypes, get.restype = [], ctypes.c_int

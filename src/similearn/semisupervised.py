@@ -45,15 +45,23 @@ def lgc_propagate(L, Y, gamma) -> np.ndarray:
 
     Each column of F depends on its own column of Y alone, so Y may hold
     several label matrices side by side; ssl_experiment propagates all
-    its repeats in one solve. L and Y must be finite.
+    its repeats in one solve, which holds one n x n array besides L.
+    L and Y must be finite. L's smallest eigenvalue is 0 and the rounding
+    error of L + gamma I's Cholesky factor is about n eps d, d the largest
+    degree (diagonal entry of L); so gamma <= n eps d, where the factoring
+    fails or F is rounding noise, raises ValueError: rescale Z or raise gamma.
     """
     _check_gamma(gamma)
     if not (np.isfinite(L).all() and np.isfinite(Y).all()):
         raise ValueError("L and Y must be finite")
-    A = L + 0.0  # a copy; + 0.0 turns -0.0 into 0.0, as L + gamma * I did
-    A.flat[:: A.shape[0] + 1] += gamma
+    degree = float(np.max(L.diagonal(), initial=0.0))
+    if gamma <= len(L) * np.finfo(float).eps * degree:
+        raise ValueError(
+            f"L + gamma I is numerically singular: gamma = {gamma!r} <= n eps d, where "
+            f"d = {degree:.3e} is the graph's largest degree; rescale Z or raise gamma"
+        )
     msg = "L + gamma I is not positive definite; L must be a PSD Laplacian"
-    return gamma * _solve_spd(A, Y, "L + gamma I", msg)  # ValueError on a shape mismatch
+    return gamma * _solve_spd(L, Y, gamma, "L + gamma I", msg)  # ValueError on a shape mismatch
 
 
 def check_protocol(fraction, repeats, gamma):

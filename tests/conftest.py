@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.linalg import blas, lapack
 
 from similearn.kernels import Dataset
 
@@ -23,6 +24,17 @@ def random_psd_kernel(n, rng, normalize=True):
     if normalize:
         K /= np.diag(K).max()
     return K
+
+
+def f2py_spd_solve(A, B):
+    """A^-1 B from scipy's f2py dpotrf and two right-side dtrsm: X' = B' U^-1 U^-T.
+
+    The reference for solver._solve_spd, which calls the same routines
+    through another binding.
+    """
+    U, info = lapack.dpotrf(A)
+    assert info == 0, info
+    return blas.dtrsm(1.0, U, blas.dtrsm(1.0, U, B.T, side=1), side=1, trans_a=1).T
 
 
 @pytest.fixture

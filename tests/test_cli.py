@@ -278,6 +278,27 @@ def test_cluster_on_a_z_whose_graph_overflows_exits_2(tmp_path, capsys):
     assert not out.exists()
 
 
+# gamma = 1 is within the rounding of L = D - S, whose largest degree d exceeds
+# 1 / (n eps): the factorization failed or returned noise-dominated scores
+@pytest.mark.parametrize(
+    "n, scale",
+    [(6, 1e16), (6, 1e17), (6, 1e18), (6, 1e25), (6, 1e303), (6, 1e305), (6, 1e307),
+     (50, 1e15), (50, 1e18), (50, 1e20)],
+)
+def test_ssl_on_a_z_too_large_for_gamma_exits_2(tmp_path, capsys, n, scale):
+    z, lp = tmp_path / "z.csv", tmp_path / "labels.csv"
+    Z = np.ones((n, n)) if n == 6 else np.random.default_rng(0).random((n, n))
+    write_matrix(z, scale * Z)
+    write_labels(lp, np.repeat([0, 1], n // 2))
+    out = tmp_path / "ssl.json"
+    rc = main(["ssl", "--z", str(z), "--labels", str(lp), "--fraction", "0.3", "--out", str(out)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: L + gamma I is numerically singular: gamma = 1.0 <= n eps d")
+    assert err.endswith("; rescale Z or raise gamma\n")
+    assert not out.exists()
+
+
 # the modules only scoring (scipy.optimize) and Gaussian kernels and k-means
 # (scipy.spatial) need; learn and ssl must start without them
 IMPORT_SET_PROBE = """

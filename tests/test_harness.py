@@ -243,6 +243,29 @@ def blas_at_two_threads():
         set_(threads)
 
 
+def _unrecognized_openblas():
+    """Files named like OpenBLAS in /proc/self/maps that _openblas_libraries() misses."""
+    with open("/proc/self/maps") as f:
+        mapped = {line.split(maxsplit=5)[-1].strip() for line in f}
+    openblas = {p for p in mapped if "openblas" in Path(p).name.lower() and os.path.isfile(p)}
+    return openblas - {path for path, _, _ in _openblas_libraries()}, openblas
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/maps"), reason="needs procfs")
+def test_every_mapped_openblas_library_gets_a_thread_budget():
+    # a library whose thread-count symbols go unrecognized would run the grid
+    # multi-threaded, and the budget tests would pass without budgeting anything
+    assert _unrecognized_openblas()[0] == set()
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/maps"), reason="needs procfs")
+def test_openblas_check_fails_when_no_thread_symbol_is_known(monkeypatch):
+    # stands in for an OpenBLAS build that exports none of the recognized names
+    monkeypatch.setattr(harness, "_THREAD_SYMBOLS", ("no_such_{}_num_threads",))
+    missed, openblas = _unrecognized_openblas()
+    assert openblas and missed == openblas
+
+
 @pytest.mark.parametrize("workers", [None, "1"])
 def test_grid_at_any_workers_matches_single_threaded_blas(
     tmp_path, monkeypatch, blas_at_two_threads, workers

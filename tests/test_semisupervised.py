@@ -1,7 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
-from scipy.linalg import cho_factor, cho_solve
 
+from conftest import f2py_spd_solve
 from similearn import semisupervised
 from similearn.errors import LinearSolveError
 from similearn.graph import build_graph, laplacian
@@ -97,14 +99,14 @@ def test_lgc_shape_and_gamma_errors():
 
 @pytest.mark.parametrize("gamma", [0.1, 1.0, 7.3])
 def test_lgc_factor_matches_dense_shift_bitwise(rng, gamma):
-    """Shifting a copy of L in place gives F with the bits of factoring L + gamma I."""
+    """Shifting L inside the solve gives F with the bits of solving with L + gamma I."""
     n = 200
     Z = np.where(rng.random((n, n)) < 0.05, rng.random((n, n)), 0.0)
     Z[:10] = Z[:, :10] = 0.0  # isolated nodes: zero rows in L
     L = laplacian(build_graph(Z))
     Y = make_label_matrix(rng.integers(0, 3, n), rng.random(n) < 0.2, 3)
     for lap in (L, np.where(L == 0.0, -0.0, L)):
-        want = gamma * cho_solve(cho_factor(lap + gamma * np.eye(n)), Y)
+        want = gamma * f2py_spd_solve(lap + gamma * np.eye(n), Y)
         got = lgc_propagate(lap, Y, gamma)
         assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
@@ -116,10 +118,12 @@ def test_lgc_factor_matches_dense_shift_bitwise(rng, gamma):
 def test_lgc_stacked_labels_match_per_repeat_calls(rng, n, c, repeats):
     """ssl_experiment's one solve on side-by-side label matrices against one call per repeat.
 
-    Both factor the same matrix the same way and solve column by column, but
-    OpenBLAS's dtrsm may take another kernel path at other widths (n near 500
-    with more than 11 right-hand sides), which moves the last bit; so the
-    columns agree to a few ulps, and bitwise when there is one repeat.
+    Both factor the same matrix the same way, and each right-hand side is
+    its own row of X' in the right-side dtrsm calls. They agreed bitwise at
+    every n and width tried (n up to 1000, up to 400 columns), but an
+    OpenBLAS build may treat the rows at a tile's edge differently, which
+    would move the last bit; so the columns must agree to a few ulps, and
+    bitwise when there is one repeat.
     """
     Z = np.where(rng.random((n, n)) < 0.1, rng.random((n, n)), 0.0)
     L = laplacian(build_graph(Z))
@@ -130,6 +134,32 @@ def test_lgc_stacked_labels_match_per_repeat_calls(rng, n, c, repeats):
     assert np.abs(stacked - each).max() <= 8 * np.finfo(float).eps * np.abs(each).max()
     if repeats == 1:
         assert np.array_equal(stacked.view(np.uint64), each.view(np.uint64))
+
+
+def test_lgc_holds_one_n_by_n_array(rng):
+    """The solve's one working copy of L is the only n x n array lgc_propagate allocates."""
+    n = 300
+    Z = np.where(rng.random((n, n)) < 0.1, rng.random((n, n)), 0.0)
+    L = laplacian(build_graph(Z))
+    Y = make_label_matrix(rng.integers(0, 3, n), rng.random(n) < 0.3, 3)
+    tracemalloc.start()
+    try:
+        lgc_propagate(L, Y, 1.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.25 * 8 * n * n
+
+
+def test_lgc_rejects_gamma_below_the_rounding_of_l():
+    # n eps d = 6 eps 5e16 ~ 67: L + I is L to working precision
+    L = laplacian(build_graph(np.full((6, 6), 1e16)))
+    Y = make_label_matrix([0, 0, 0, 1, 1, 1], [True, False, False, True, False, False], 2)
+    msg = "gamma = 1.0 <= n eps d, where d = 5.000e+16 is the graph's largest degree"
+    with pytest.raises(ValueError) as e:
+        lgc_propagate(L, Y, 1.0)
+    assert msg in str(e.value)
+    assert np.all(np.isfinite(lgc_propagate(L, Y, 100.0)))
 
 
 @pytest.mark.parametrize("where", ["L", "Y"])

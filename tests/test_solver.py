@@ -7,9 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import LinAlgError, cho_factor, cho_solve
-from scipy.linalg.lapack import dposv
 
-from conftest import random_psd_kernel
+from conftest import f2py_spd_solve, random_psd_kernel
 from test_acceptance import _pgd_reference
 from similearn import solver as solver_module
 from similearn.errors import DivergenceError, LinearSolveError
@@ -296,20 +295,26 @@ def test_update_w_h_report_non_positive_definite_systems():
 
 @st.composite
 def spd_systems(draw):
-    """(A, B): A = (c M) M' + mu I formed by gemm, so not exactly symmetric.
+    """(A, B, shift): A = (c M) M' formed by gemm, so not exactly symmetric, shift > 0.
 
-    n is 1..60 with 1..n right-hand sides, and either array may come in
-    C or Fortran order.
+    n is 1..60 with 1..n right-hand sides, and either array may come in C
+    or Fortran order. M is block diagonal, so A's off-diagonal blocks are
+    zeros, about half of them -0.0, and some columns of B are -0.0 in the
+    second block: there the signs of X's zeros follow those of U's.
     """
     n = draw(st.integers(1, 60))
     nrhs = draw(st.integers(1, n))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     M = rng.standard_normal((n, n))
+    k = draw(st.integers(0, n))
+    M[:k, k:] = M[k:, :k] = 0.0
     A = (10.0 ** draw(st.floats(-3, 3)) * M) @ M.T
-    A.flat[:: n + 1] += 10.0 ** draw(st.floats(-3, 3))
+    A[(A == 0.0) & (rng.random((n, n)) < 0.5)] = -0.0
     B = rng.standard_normal((n, nrhs))
+    B[k:, rng.random(nrhs) < 0.5] = -0.0
     order = st.sampled_from("CF")
-    return np.asarray(A, order=draw(order)), np.asarray(B, order=draw(order))
+    shift = 10.0 ** draw(st.floats(-3, 3))
+    return np.asarray(A, order=draw(order)), np.asarray(B, order=draw(order)), shift
 
 
 def _bits(X):
@@ -318,45 +323,43 @@ def _bits(X):
 
 @settings(max_examples=300, deadline=None)
 @given(spd_systems())
-def test_solve_spd_is_bitwise_scipy_dposv(case):
-    A, B = case
+def test_solve_spd_is_bitwise_scipy_dpotrf_dtrsm(case):
+    A, B, shift = case
     A0, B0 = A.copy(order="A"), B.copy(order="A")
-    X = _solve_spd(A, B, "W update")
-    assert _bits(X) == _bits(dposv(A, B)[1])
+    X = _solve_spd(A, B, shift, "W update")
+    assert _bits(X) == _bits(f2py_spd_solve(A + shift * np.eye(len(A)), B))
     assert _bits(A) == _bits(A0) and _bits(B) == _bits(B0)
 
 
 def test_solve_spd_not_positive_definite_names_step_and_cond():
-    A = np.diag([1.0, -2.0])
+    A = np.diag([2.0, -1.0])  # shifted by -1: diag(1, -2), whose cond is 2
     msg = "H update: left-hand side is not positive definite (cond ~ 2.000e+00); increase mu"
     with pytest.raises(LinearSolveError, match=re.escape(msg)) as e:
-        _solve_spd(A, np.eye(2), "H update")
+        _solve_spd(A, np.eye(2), -1.0, "H update")
     assert e.value.cond == 2.0
 
 
 def test_solve_spd_raises_on_an_illegal_argument(monkeypatch):
-    def rejects_lda(uplo, n, nrhs, a, lda, b, ldb, info):
-        info.value = -5
+    def rejects_lda(uplo, n, a, lda, info):
+        info.value = -4
 
-    monkeypatch.setattr(solver_module, "_DPOSV", rejects_lda)
-    with pytest.raises(LinearSolveError, match="W update: dposv rejected its argument 5"):
-        _solve_spd(np.eye(3), np.eye(3), "W update")
+    monkeypatch.setattr(solver_module, "_DPOTRF", rejects_lda)
+    with pytest.raises(LinearSolveError, match="W update: dpotrf rejected its argument 4"):
+        _solve_spd(np.eye(3), np.eye(3), 1.0, "W update")
 
 
 def test_solve_spd_rejects_shapes_that_do_not_form_a_system():
     for A, B in ((np.eye(3), np.eye(2)), (np.ones((3, 2)), np.eye(3)), (np.eye(3), np.ones(3))):
         with pytest.raises(ValueError, match="W update: cannot solve"):
-            _solve_spd(A, B, "W update")
+            _solve_spd(A, B, 1.0, "W update")
 
 
 def test_solve_spd_on_concurrent_threads_matches_serial_calls(rng):
     cases = []
     for n in (40, 60, 80, 100) * 2:
         M = rng.standard_normal((n, n))
-        A = (0.2 * M) @ M.T
-        A.flat[:: n + 1] += 1.0
-        cases.append((A, rng.standard_normal((n, n))))
-    serial = [_bits(_solve_spd(A, B, "W update")) for A, B in cases]
+        cases.append(((0.2 * M) @ M.T, rng.standard_normal((n, n)), 1.0))
+    serial = [_bits(_solve_spd(*case, "W update")) for case in cases]
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
@@ -496,7 +499,7 @@ def _reference_solve(K, config, trace_objective=True):
     """
     n = K.shape[0]
     mu, alpha, beta, reg = config.mu, config.alpha, config.beta, config.regularizer
-    inverse = cho_solve(cho_factor(K + mu * np.eye(n)), np.eye(n))
+    inverse = f2py_spd_solve(K + mu * np.eye(n), np.eye(n))
     Z = -mu * inverse
     np.fill_diagonal(Z, 0.0)
     H = Z

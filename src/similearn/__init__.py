@@ -8,7 +8,6 @@ spectral clustering or graph-based semi-supervised classification.
 __version__ = "0.1.0"
 
 from .kernels import (
-    Dataset,
     KernelMatrix,
     KernelSpec,
     build_kernel_bank,
@@ -23,6 +22,6 @@ from .solver import (
     prox_nuclear,
     solve,
 )
-from .graph import ClusteringResult, cluster, kmeans, spectral_embed
+from .graph import cluster, kmeans, spectral_embed
 from .semisupervised import lgc_propagate, ssl_experiment
 from .metrics import accuracy, nmi

@@ -34,10 +34,10 @@ USER_ERRORS = (DivergenceError, LinearSolveError, ValueError, OSError)
 
 
 def _cmd_kernels(args):
-    data = load_dataset(args.data)
+    X, _, _ = load_dataset(args.data)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    for km in build_kernel_bank(data, args.bank):
+    for km in build_kernel_bank(X, args.bank):
         name = km.spec.name
         write_matrix(out_dir / f"{name}.csv", km.values)
         write_json(
@@ -70,15 +70,15 @@ def _cmd_learn(args):
 
 def _cmd_cluster(args):
     Z = read_matrix(args.z)
-    res = cluster(Z, args.classes, seed=args.seed)
+    assignments, inertia = cluster(Z, args.classes, seed=args.seed)
     out = {
-        "assignments": [int(a) for a in res.assignments],
-        "inertia": res.inertia,
+        "assignments": [int(a) for a in assignments],
+        "inertia": inertia,
     }
     if args.labels:
         truth = read_labels(args.labels)
-        out["acc"] = accuracy(res.assignments, truth)
-        out["nmi"] = nmi(res.assignments, truth)
+        out["acc"] = accuracy(assignments, truth)
+        out["nmi"] = nmi(assignments, truth)
     write_json(args.out, out)
     msg = f"clustered {Z.shape[0]} samples into {args.classes} groups"
     if "acc" in out:
@@ -90,7 +90,7 @@ def _cmd_cluster(args):
 def _cmd_ssl(args):
     Z = read_matrix(args.z)
     labels, _ = dense_labels(read_labels(args.labels))
-    res = ssl_experiment(
+    mean_acc, std_acc, per_repeat = ssl_experiment(
         Z,
         labels,
         args.fraction,
@@ -102,13 +102,13 @@ def _cmd_ssl(args):
         args.out,
         {
             "fraction": args.fraction,
-            "mean_acc": res.mean_acc,
-            "std_acc": res.std_acc,
-            "per_repeat": res.per_repeat,
+            "mean_acc": mean_acc,
+            "std_acc": std_acc,
+            "per_repeat": per_repeat,
         },
     )
     print(
-        f"fraction={args.fraction:g}: acc {res.mean_acc:.4f} +/- {res.std_acc:.4f} "
+        f"fraction={args.fraction:g}: acc {mean_acc:.4f} +/- {std_acc:.4f} "
         f"over {args.repeats} repeats"
     )
     return 0

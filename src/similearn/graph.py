@@ -6,8 +6,6 @@ L = diag(rowsum(S)) - S, embedded by its c smallest eigenpairs (the only
 ones computed), and finished with k-means (k-means++ seeding, restarts).
 """
 
-from dataclasses import dataclass
-
 import numpy as np
 from scipy.linalg import eigh
 
@@ -15,18 +13,14 @@ from scipy.linalg import eigh
 _RESTARTS, _MAX_ITER, _TOL = 20, 300, 1e-6
 
 
-@dataclass
-class ClusteringResult:
-    assignments: np.ndarray
-    inertia: float
-
-
 def build_graph(Z: np.ndarray) -> np.ndarray:
     """S = (|Z| + |Z'|)/2; exactly symmetric, nonnegative, zero diagonal.
 
-    Raises ValueError when Z is not finite or S overflows.
+    Raises ValueError when Z is not square or not finite, or S overflows.
     """
     A = np.abs(np.asarray(Z, dtype=float))
+    if A.ndim != 2 or A.shape[0] != A.shape[1]:
+        raise ValueError(f"Z must be square, got shape {A.shape}")
     with np.errstate(over="ignore"):
         S = (A + A.T) / 2.0
     if not np.isfinite(S).all():
@@ -113,11 +107,13 @@ def _lloyd(X, centers):
     return assign, inertia
 
 
-def kmeans(X, c, seed) -> ClusteringResult:
-    """Best-of-restarts k-means on the rows of X.
+def kmeans(X, c, seed):
+    """Best-of-restarts k-means on the rows of X: (assignments, inertia).
 
-    Each restart gets its own rng spawned from the master seed, so the
-    result is deterministic and restart order does not matter.
+    assignments holds each row's cluster id in 0..c-1 and inertia the
+    sum of squared distances to the assigned centers. Each restart gets
+    its own rng spawned from the master seed, so the result is
+    deterministic and restart order does not matter.
     """
     X = np.asarray(X, dtype=float)
     n = X.shape[0]
@@ -130,10 +126,13 @@ def kmeans(X, c, seed) -> ClusteringResult:
         assign, inertia = _lloyd(X, centers.copy())
         if inertia < best_inertia:
             best_assign, best_inertia = assign, inertia
-    return ClusteringResult(assignments=best_assign, inertia=best_inertia)
+    return best_assign, best_inertia
 
 
-def cluster(Z: np.ndarray, c: int, seed: int) -> ClusteringResult:
-    """Full pipeline: graph, Laplacian, spectral embedding, k-means."""
+def cluster(Z: np.ndarray, c: int, seed: int):
+    """Full pipeline: graph, Laplacian, spectral embedding, k-means.
+
+    Returns kmeans' (assignments, inertia) on the embedding.
+    """
     V = spectral_embed(laplacian(build_graph(Z)), c)
     return kmeans(V, c, seed)

@@ -38,7 +38,7 @@ import scipy
 from . import __version__
 from .graph import cluster
 from .io import read_json, read_labels, read_matrix, write_json, write_matrix
-from .kernels import Dataset, bank_specs, compute_kernel, normalize_kernel
+from .kernels import bank_specs, compute_kernel, normalize_kernel
 from .metrics import accuracy, nmi
 from .semisupervised import DEFAULT_GAMMA, DEFAULT_REPEATS, check_protocol, ssl_experiment
 from .solver import REGULARIZERS, SolverConfig, canonical_regularizer, require_number, solve
@@ -164,26 +164,25 @@ def load_experiment_config(path) -> ExperimentConfig:
         raise ValueError(f"{path}: {e}") from None
 
 
-def load_dataset(path, labels_path=None) -> Dataset:
-    """Read features (and labels), validating shapes and class ids.
+def load_dataset(path, labels_path=None):
+    """(X, labels, c): the n x m features, one sample per row, and their labels.
 
     Labels with gaps in their id range are relabeled densely to 0..c-1
     with a warning; features and labels must agree on sample count.
+    Without labels_path, labels and c are None.
     """
     X = read_matrix(path)
     if X.shape[0] < 2:
         raise ValueError(f"{path}: need at least 2 samples, got {X.shape[0]}")
-    labels = None
-    c = None
-    if labels_path is not None:
-        labels = read_labels(labels_path)
-        if labels.shape[0] != X.shape[0]:
-            raise ValueError(
-                f"label count {labels.shape[0]} does not match "
-                f"sample count {X.shape[0]}"
-            )
-        labels, c = dense_labels(labels)
-    return Dataset(features=X, labels=labels, c=c)
+    if labels_path is None:
+        return X, None, None
+    labels = read_labels(labels_path)
+    if labels.shape[0] != X.shape[0]:
+        raise ValueError(
+            f"{labels_path}: label count {labels.shape[0]} does not match "
+            f"sample count {X.shape[0]}"
+        )
+    return (X, *dense_labels(labels))
 
 
 def dense_labels(labels):
@@ -263,23 +262,21 @@ def _z_path(out_dir, kernel_name, reg, alpha, beta):
     return Path(out_dir) / f"z_{kernel_name}_{reg}_a{_fmt(alpha)}_b{_fmt(beta)}.csv"
 
 
-def _clustering_metrics(Z, data, config):
+def _clustering_metrics(Z, labels, c, config):
     """Spectral clustering of Z scored by Acc and NMI: one metric dict."""
-    pred = cluster(Z, data.c, seed=config.seed).assignments
-    return [{"acc": accuracy(pred, data.labels), "nmi": nmi(pred, data.labels)}]
+    pred, _ = cluster(Z, c, seed=config.seed)
+    return [{"acc": accuracy(pred, labels), "nmi": nmi(pred, labels)}]
 
 
-def _ssl_metrics(Z, data, config):
+def _ssl_metrics(Z, labels, c, config):
     """Label propagation on Z: one metric dict per gamma x fraction."""
     out = []
     for gamma in config.gammas:
         for fraction in config.fractions:
-            r = ssl_experiment(
-                Z, data.labels, fraction, config.repeats, gamma=gamma, seed=config.seed
+            acc, acc_std, _ = ssl_experiment(
+                Z, labels, fraction, config.repeats, gamma=gamma, seed=config.seed
             )
-            out.append(
-                dict(gamma=gamma, fraction=fraction, acc=r.mean_acc, acc_std=r.std_acc)
-            )
+            out.append(dict(gamma=gamma, fraction=fraction, acc=acc, acc_std=acc_std))
     return out
 
 
@@ -299,13 +296,13 @@ def run_experiment(config: ExperimentConfig):
     out_dir = Path(config.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     metrics = _clustering_metrics if config.task == "clustering" else _ssl_metrics
-    data = load_dataset(config.dataset, config.labels)
+    X, labels, c = load_dataset(config.dataset, config.labels)
     kernels = []
     failures = []
     # a kernel that cannot be built fails its cells, not the whole grid
     for order, spec in enumerate(bank_specs(config.bank)):
         try:
-            kernels.append((order, normalize_kernel(compute_kernel(data, spec))))
+            kernels.append((order, normalize_kernel(compute_kernel(X, spec))))
         except Exception as e:
             failures.append(
                 {"kernel": spec.name, "error": f"{type(e).__name__}: {e}"}
@@ -331,7 +328,7 @@ def run_experiment(config: ExperimentConfig):
                 write_matrix(_z_path(out_dir, km.spec.name, reg, alpha, beta), sol.Z)
             end = dict(converged=sol.converged, iterations=sol.iterations)
             return [
-                ResultRow(**cell, **m, **end) for m in metrics(sol.Z, data, config)
+                ResultRow(**cell, **m, **end) for m in metrics(sol.Z, labels, c, config)
             ], None
         except Exception as e:
             failure = dict(where, error=f"{type(e).__name__}: {e}")

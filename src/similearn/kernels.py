@@ -14,7 +14,7 @@ maximum is zero for a linear or polynomial kernel the largest absolute
 entry is used instead and the fallback is flagged.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -30,25 +30,6 @@ BANKS = {
     "clustering12": ((0.01, 0.05, 0.1, 1.0, 10.0, 50.0, 100.0), (2, 4)),
     "ssl7": ((0.1, 1.0, 10.0, 100.0), (2,)),
 }
-
-
-@dataclass
-class Dataset:
-    """Feature matrix with optional integer class labels.
-
-    Parameters
-    ----------
-    features : ndarray of shape (n, m)
-        One sample per row.
-    labels : ndarray of shape (n,), optional
-        Class ids in {0..c-1}.
-    c : int, optional
-        Number of classes; required when labels are present.
-    """
-
-    features: np.ndarray
-    labels: Optional[np.ndarray] = None
-    c: Optional[int] = None
 
 
 @dataclass(frozen=True)
@@ -89,12 +70,13 @@ def _check_finite(X):
         raise ValueError("features contain non-finite values")
 
 
-def compute_kernel(data: Dataset, spec: KernelSpec) -> KernelMatrix:
+def compute_kernel(X, spec: KernelSpec) -> KernelMatrix:
     """Evaluate an un-normalized kernel matrix over all sample pairs.
 
     Parameters
     ----------
-    data : Dataset
+    X : ndarray of shape (n, m)
+        Features, one sample per row; must be finite.
     spec : KernelSpec
 
     Returns
@@ -108,7 +90,7 @@ def compute_kernel(data: Dataset, spec: KernelSpec) -> KernelMatrix:
         Gaussian kernel requested on a dataset whose samples are all
         identical (the bandwidth d_max is zero).
     """
-    X = np.asarray(data.features, dtype=float)
+    X = np.asarray(X, dtype=float)
     _check_finite(X)
     if spec.family == "gaussian":
         # imported here, not at module level: only Gaussian kernels need scipy.spatial
@@ -191,10 +173,10 @@ def bank_specs(bank: str):
     ]
 
 
-def build_kernel_bank(data: Dataset, bank: str):
-    """Compute and normalize every kernel in a named bank.
+def build_kernel_bank(X, bank: str):
+    """Compute and normalize every kernel in a named bank over the rows of X.
 
     Returns a list of normalized KernelMatrix in the bank's canonical
     order (gaussians by increasing t, then linear, then polynomials).
     """
-    return [normalize_kernel(compute_kernel(data, s)) for s in bank_specs(bank)]
+    return [normalize_kernel(compute_kernel(X, s)) for s in bank_specs(bank)]

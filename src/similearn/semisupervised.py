@@ -13,7 +13,6 @@ and each repeat is scored on its own unlabeled samples only.
 
 import math
 import numbers
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -22,13 +21,6 @@ from .solver import _solve_spd, require_number
 
 DEFAULT_REPEATS = 20
 DEFAULT_GAMMA = 1.0
-
-
-@dataclass
-class SSLResult:
-    mean_acc: float
-    std_acc: float
-    per_repeat: list = field(default_factory=list)
 
 
 def make_label_matrix(labels, mask, c) -> np.ndarray:
@@ -79,8 +71,10 @@ def _check_gamma(gamma):
 
 
 def _class_indices(labels):
-    """Indices per class; labels must be dense ids 0..c-1, every class nonempty."""
+    """Indices per class; labels must be integer ids 0..c-1, every class nonempty."""
     labels = np.asarray(labels)
+    if not np.issubdtype(labels.dtype, np.integer) or labels.min() < 0:
+        raise ValueError("labels must be nonnegative integer class ids; relabel densely first")
     c = int(labels.max()) + 1
     groups = [np.flatnonzero(labels == k) for k in range(c)]
     for k, g in enumerate(groups):
@@ -91,15 +85,15 @@ def _class_indices(labels):
 
 def ssl_experiment(
     Z, labels, fraction, repeats=DEFAULT_REPEATS, gamma=DEFAULT_GAMMA, seed=0
-) -> SSLResult:
+):
     """Stratified label-propagation protocol over a learned Z.
 
     Parameters
     ----------
     Z : ndarray of shape (n, n)
         Learned coefficient matrix.
-    labels : ndarray of shape (n,)
-        Ground-truth class ids 0..c-1.
+    labels : integer ndarray of shape (n,)
+        Ground-truth class ids 0..c-1, every class present.
     fraction : float in (0, 1)
         Per-class share of samples to label, rounded up to at least one.
     repeats : int >= 1
@@ -110,8 +104,9 @@ def ssl_experiment(
 
     Returns
     -------
-    SSLResult
-        Mean and population std of accuracy on unlabeled samples.
+    (mean_acc, std_acc, per_repeat)
+        Mean and population std of the accuracy on unlabeled samples,
+        and the list of each repeat's accuracy.
     """
     check_protocol(fraction, repeats, gamma)
     labels = np.asarray(labels)
@@ -134,8 +129,4 @@ def ssl_experiment(
     F = lgc_propagate(laplacian(build_graph(Z)), Y, gamma)
     pred = F.reshape(n, repeats, c).argmax(axis=2)
     accs = [float((pred[~m, r] == labels[~m]).mean()) for r, m in enumerate(masks)]
-    return SSLResult(
-        mean_acc=float(np.mean(accs)),
-        std_acc=float(np.std(accs)),
-        per_repeat=accs,
-    )
+    return float(np.mean(accs)), float(np.std(accs)), accs

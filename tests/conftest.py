@@ -2,11 +2,9 @@ import numpy as np
 import pytest
 from scipy.linalg import blas, lapack
 
-from similearn.kernels import Dataset
-
 
 def two_blobs(n_per=20, sep=10.0, sigma=1.0, seed=0):
-    """Two Gaussian blobs in the plane, `sep` sigmas apart."""
+    """(X, y): two Gaussian blobs in the plane, `sep` sigmas apart, labeled 0 and 1."""
     rng = np.random.default_rng(seed)
     X = np.vstack(
         [
@@ -15,7 +13,7 @@ def two_blobs(n_per=20, sep=10.0, sigma=1.0, seed=0):
         ]
     )
     y = np.repeat([0, 1], n_per)
-    return Dataset(features=X, labels=y, c=2)
+    return X, y
 
 
 def random_psd_kernel(n, rng, normalize=True):

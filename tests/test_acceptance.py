@@ -228,15 +228,15 @@ def test_criterion_6_end_to_end_clustering():
     t0 = time.perf_counter()
     good = 0
     for seed in range(10):
-        data = two_blobs(n_per=20, sep=10.0, seed=seed)
-        bank = build_kernel_bank(data, "clustering12")
+        X, y = two_blobs(n_per=20, sep=10.0, seed=seed)
+        bank = build_kernel_bank(X, "clustering12")
         perfect_both = True
         for reg in ("low_rank", "sparse"):
             best = 0.0
             for km in bank:
                 sol = solve(km.values, SolverConfig(regularizer=reg))
-                res = cluster(sol.Z, 2, seed=seed)
-                best = max(best, accuracy(res.assignments, data.labels))
+                pred, _ = cluster(sol.Z, 2, seed=seed)
+                best = max(best, accuracy(pred, y))
                 if best == 1.0:
                     break
             perfect_both &= best == 1.0
@@ -248,26 +248,27 @@ def test_criterion_6_end_to_end_clustering():
 
 def test_criterion_7_end_to_end_ssl():
     t0 = time.perf_counter()
-    data = two_blobs(n_per=20, sep=10.0, seed=0)
-    bank = build_kernel_bank(data, "ssl7")
+    X, y = two_blobs(n_per=20, sep=10.0, seed=0)
+    bank = build_kernel_bank(X, "ssl7")
     best = 0.0
     for reg in ("low_rank", "sparse"):
         for km in bank:
             sol = solve(km.values, SolverConfig(regularizer=reg))
-            r = ssl_experiment(sol.Z, data.labels, 0.1, repeats=20, gamma=1.0, seed=0)
-            best = max(best, r.mean_acc)
+            mean_acc, _, _ = ssl_experiment(sol.Z, y, 0.1, repeats=20, gamma=1.0, seed=0)
+            best = max(best, mean_acc)
     elapsed = time.perf_counter() - t0
     ok = best >= 0.95 and elapsed < 120
     report(7, ok, f"best mean accuracy {best:.4f} >= 0.95 over 20 repeats", t0)
 
 
 def _best_over_bank(data, reg, seed=0):
-    bank = build_kernel_bank(data, "clustering12")
+    X, labels, c = data
+    bank = build_kernel_bank(X, "clustering12")
     best = 0.0
     for km in bank:
         sol = solve(km.values, SolverConfig(regularizer=reg))
-        res = cluster(sol.Z, data.c, seed=seed)
-        best = max(best, accuracy(res.assignments, data.labels))
+        pred, _ = cluster(sol.Z, c, seed=seed)
+        best = max(best, accuracy(pred, labels))
     return best
 
 
@@ -298,11 +299,11 @@ def test_criterion_8_external_datasets():
 
 def test_criterion_9_benchmark_determinism(tmp_path):
     t0 = time.perf_counter()
-    data = two_blobs(n_per=4, seed=0)
+    X, y = two_blobs(n_per=4, seed=0)
     fp = tmp_path / "feats.csv"
     lp = tmp_path / "labels.csv"
-    write_matrix(fp, data.features)
-    write_labels(lp, data.labels)
+    write_matrix(fp, X)
+    write_labels(lp, y)
     outputs = []
     for run in ("a", "b"):
         cfg = {

@@ -20,11 +20,11 @@ SRC = Path(harness.__file__).resolve().parents[1]
 
 @pytest.fixture
 def blob_files(tmp_path):
-    data = two_blobs(n_per=4)
+    X, y = two_blobs(n_per=4)
     fp = tmp_path / "feats.csv"
     lp = tmp_path / "labels.csv"
-    write_matrix(fp, data.features)
-    write_labels(lp, data.labels)
+    write_matrix(fp, X)
+    write_labels(lp, y)
     return fp, lp
 
 
@@ -278,6 +278,20 @@ def test_cluster_on_a_z_whose_graph_overflows_exits_2(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "command", [["cluster", "--classes", "2"], ["ssl", "--fraction", "0.5"]]
+)
+def test_cluster_and_ssl_on_a_non_square_z_exit_2(tmp_path, capsys, command):
+    z, lp = tmp_path / "z.csv", tmp_path / "labels.csv"
+    write_matrix(z, np.ones((2, 3)))
+    write_labels(lp, [0, 0, 1, 1])
+    out = tmp_path / "out.json"
+    rc = main([*command, "--z", str(z), "--labels", str(lp), "--out", str(out)])
+    assert rc == 2
+    assert capsys.readouterr().err == "error: Z must be square, got shape (2, 3)\n"
+    assert not out.exists()
+
+
 # gamma = 1 is within the rounding of L = D - S, whose largest degree d exceeds
 # 1 / (n eps): the factorization failed or returned noise-dominated scores
 @pytest.mark.parametrize(
@@ -319,10 +333,10 @@ print("ok")
 
 
 def test_learn_and_ssl_load_neither_scipy_optimize_nor_scipy_spatial(tmp_path):
-    data = two_blobs(n_per=4)
+    X, y = two_blobs(n_per=4)
     kernel, z, lp = tmp_path / "k.csv", tmp_path / "z.csv", tmp_path / "labels.csv"
-    write_matrix(kernel, data.features @ data.features.T)
-    write_labels(lp, data.labels)
+    write_matrix(kernel, X @ X.T)
+    write_labels(lp, y)
     learn = ["learn", "--kernel", str(kernel), "--reg", "sparse", "--max-iter", "5", "--out", str(z)]
     ssl = ["ssl", "--z", str(z), "--labels", str(lp), "--fraction", "0.3", "--repeats", "2",
            "--out", str(tmp_path / "ssl.json")]

@@ -172,24 +172,24 @@ def test_spectral_embed_rejects_bad_c():
 
 def test_kmeans_separated_groups(rng):
     X = np.vstack([rng.normal(0, 0.1, (10, 2)), rng.normal(50, 0.1, (10, 2))])
-    res = kmeans(X, 2, seed=0)
+    assignments, _ = kmeans(X, 2, seed=0)
     want = np.repeat([0, 1], 10)
-    assert accuracy(res.assignments, want) == 1.0
+    assert accuracy(assignments, want) == 1.0
 
 
 def test_kmeans_single_cluster_inertia(rng):
     X = rng.standard_normal((15, 3))
-    res = kmeans(X, 1, seed=0)
-    np.testing.assert_allclose(res.assignments, np.zeros(15))
-    np.testing.assert_allclose(res.inertia, ((X - X.mean(0)) ** 2).sum(), rtol=1e-12)
+    assignments, inertia = kmeans(X, 1, seed=0)
+    np.testing.assert_allclose(assignments, np.zeros(15))
+    np.testing.assert_allclose(inertia, ((X - X.mean(0)) ** 2).sum(), rtol=1e-12)
 
 
 def test_kmeans_deterministic(rng):
     X = rng.standard_normal((30, 4))
-    a = kmeans(X, 3, seed=42)
-    b = kmeans(X, 3, seed=42)
-    assert np.array_equal(a.assignments, b.assignments)
-    assert a.inertia == b.inertia
+    a_assignments, a_inertia = kmeans(X, 3, seed=42)
+    b_assignments, b_inertia = kmeans(X, 3, seed=42)
+    assert np.array_equal(a_assignments, b_assignments)
+    assert a_inertia == b_inertia
 
 
 def test_kmeans_rejects_too_many_clusters(rng):
@@ -199,9 +199,9 @@ def test_kmeans_rejects_too_many_clusters(rng):
 
 def test_cluster_block_diagonal_perfect():
     Z = two_block_z(sizes=(6, 4), weight=0.7)
-    res = cluster(Z, 2, seed=0)
+    assignments, _ = cluster(Z, 2, seed=0)
     want = np.repeat([0, 1], [6, 4])
-    assert accuracy(res.assignments, want) == 1.0
+    assert accuracy(assignments, want) == 1.0
 
 
 def test_cluster_n_equals_c():
@@ -214,5 +214,5 @@ def test_cluster_n_equals_c():
             [0.0, 0.0, 2.0, 0.0],
         ]
     )
-    res = cluster(Z, 4, seed=0)
-    assert len(set(res.assignments.tolist())) == 4
+    assignments, _ = cluster(Z, 4, seed=0)
+    assert len(set(assignments.tolist())) == 4

@@ -2,6 +2,7 @@ import contextlib
 import json
 import os
 import platform
+import re
 import subprocess
 import sys
 from dataclasses import MISSING, fields
@@ -35,11 +36,11 @@ from similearn.metrics import accuracy
 
 
 def write_blob_files(tmp_path, n_per=4, seed=0):
-    data = two_blobs(n_per=n_per, seed=seed)
+    X, y = two_blobs(n_per=n_per, seed=seed)
     fp = tmp_path / "feats.csv"
     lp = tmp_path / "labels.csv"
-    write_matrix(fp, data.features)
-    write_labels(lp, data.labels)
+    write_matrix(fp, X)
+    write_labels(lp, y)
     return fp, lp
 
 
@@ -143,9 +144,9 @@ def test_load_dataset_basic(tmp_path):
     lp = tmp_path / "y.csv"
     write_matrix(fp, np.arange(8.0).reshape(4, 2))
     write_labels(lp, [0, 0, 1, 1])
-    data = load_dataset(fp, lp)
-    assert data.features.shape == (4, 2)
-    assert data.c == 2
+    X, _, c = load_dataset(fp, lp)
+    assert X.shape == (4, 2)
+    assert c == 2
 
 
 def test_load_dataset_relabels_gaps_with_warning(tmp_path):
@@ -154,9 +155,9 @@ def test_load_dataset_relabels_gaps_with_warning(tmp_path):
     write_matrix(fp, np.arange(8.0).reshape(4, 2))
     write_labels(lp, [0, 0, 2, 2])
     with pytest.warns(UserWarning):
-        data = load_dataset(fp, lp)
-    assert np.array_equal(data.labels, [0, 0, 1, 1])
-    assert data.c == 2
+        _, labels, c = load_dataset(fp, lp)
+    assert np.array_equal(labels, [0, 0, 1, 1])
+    assert c == 2
 
 
 def test_load_dataset_count_mismatch(tmp_path):
@@ -164,7 +165,7 @@ def test_load_dataset_count_mismatch(tmp_path):
     lp = tmp_path / "y.csv"
     write_matrix(fp, np.arange(8.0).reshape(4, 2))
     write_labels(lp, [0, 1])
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=f"^{re.escape(str(lp))}: label count 2 does not match"):
         load_dataset(fp, lp)
 
 
@@ -356,9 +357,9 @@ def test_save_z_roundtrip(tmp_path):
     zp = tmp_path / "out" / "z_linear_sparse_a0.1_b0.1.csv"
     assert zp.exists()
     Z = read_matrix(zp)
-    res = cluster(Z, 2, seed=cfg.seed)
-    data = two_blobs(n_per=4)
-    assert accuracy(res.assignments, data.labels) == row.acc
+    pred, _ = cluster(Z, 2, seed=cfg.seed)
+    _, y = two_blobs(n_per=4)
+    assert accuracy(pred, y) == row.acc
 
 
 def test_save_z_names_distinguish_close_alphas(tmp_path):

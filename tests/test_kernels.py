@@ -4,7 +4,6 @@ import pytest
 from conftest import two_blobs
 from similearn.errors import DegenerateKernelError
 from similearn.kernels import (
-    Dataset,
     KernelMatrix,
     KernelSpec,
     bank_specs,
@@ -17,35 +16,35 @@ from similearn.kernels import (
 
 def test_gaussian_pinned_values():
     # two points at the maximum distance: k = exp(-1) there, 1 on the diagonal
-    data = Dataset(features=np.array([[0.0, 0.0], [3.0, 4.0]]))
-    km = compute_kernel(data, KernelSpec("gaussian", t=1.0))
+    X = np.array([[0.0, 0.0], [3.0, 4.0]])
+    km = compute_kernel(X, KernelSpec("gaussian", t=1.0))
     assert km.values[0, 0] == 1.0 and km.values[1, 1] == 1.0
     np.testing.assert_allclose(km.values[0, 1], np.exp(-1.0), rtol=1e-12)
 
 
 def test_gaussian_diagonal_exactly_one(rng):
     X = rng.standard_normal((15, 4))
-    km = compute_kernel(Dataset(features=X), KernelSpec("gaussian", t=0.1))
+    km = compute_kernel(X, KernelSpec("gaussian", t=0.1))
     assert np.all(np.diag(km.values) == 1.0)
 
 
 def test_linear_orthogonal_vectors():
-    data = Dataset(features=np.array([[1.0, 0.0], [0.0, 1.0]]))
-    km = compute_kernel(data, KernelSpec("linear"))
+    X = np.array([[1.0, 0.0], [0.0, 1.0]])
+    km = compute_kernel(X, KernelSpec("linear"))
     assert km.values[0, 1] == 0.0
     assert km.values[0, 0] == 1.0
 
 
 def test_polynomial_pinned_value():
     # inner product 1, a=1, b=2 -> (1+1)^2 = 4
-    data = Dataset(features=np.array([[1.0], [1.0], [2.0]]))
-    km = compute_kernel(data, KernelSpec("polynomial", a=1, b=2))
+    X = np.array([[1.0], [1.0], [2.0]])
+    km = compute_kernel(X, KernelSpec("polynomial", a=1, b=2))
     assert km.values[0, 1] == 4.0
 
 
 def test_gaussian_monotone_in_distance(rng):
     X = rng.standard_normal((12, 3))
-    km = compute_kernel(Dataset(features=X), KernelSpec("gaussian", t=1.0))
+    km = compute_kernel(X, KernelSpec("gaussian", t=1.0))
     d = np.sqrt(((X[:, None, :] - X[None, :, :]) ** 2).sum(-1))
     iu = np.triu_indices(12, 1)
     order = np.argsort(d[iu])
@@ -55,21 +54,21 @@ def test_gaussian_monotone_in_distance(rng):
 
 
 def test_gaussian_identical_samples_degenerate():
-    data = Dataset(features=np.zeros((3, 2)))
+    X = np.zeros((3, 2))
     with pytest.raises(DegenerateKernelError):
-        compute_kernel(data, KernelSpec("gaussian", t=1.0))
+        compute_kernel(X, KernelSpec("gaussian", t=1.0))
 
 
 def test_nonfinite_features_rejected():
-    data = Dataset(features=np.array([[1.0, np.nan], [0.0, 1.0]]))
+    X = np.array([[1.0, np.nan], [0.0, 1.0]])
     with pytest.raises(ValueError):
-        compute_kernel(data, KernelSpec("linear"))
+        compute_kernel(X, KernelSpec("linear"))
 
 
 def test_kernel_symmetry(rng):
     X = rng.standard_normal((10, 5))
     for spec in bank_specs("clustering12"):
-        km = compute_kernel(Dataset(features=X), spec)
+        km = compute_kernel(X, spec)
         assert np.array_equal(km.values, km.values.T)
 
 
@@ -96,7 +95,7 @@ def test_normalize_zero_matrix_degenerate():
 
 def test_normalize_preserves_symmetry(rng):
     X = rng.standard_normal((9, 3))
-    km = compute_kernel(Dataset(features=X), KernelSpec("polynomial", a=1, b=4))
+    km = compute_kernel(X, KernelSpec("polynomial", a=1, b=4))
     out = normalize_kernel(km)
     assert np.array_equal(out.values, out.values.T)
 
@@ -105,7 +104,7 @@ def test_normalize_idempotent_up_to_rounding(rng):
     # after one pass the largest induced squared distance is 1, so a
     # second pass changes entries by at most a few ulps
     X = rng.standard_normal((8, 2))
-    km = compute_kernel(Dataset(features=X), KernelSpec("gaussian", t=0.1))
+    km = compute_kernel(X, KernelSpec("gaussian", t=0.1))
     once = normalize_kernel(km)
     twice = normalize_kernel(
         KernelMatrix(values=once.values, spec=once.spec)
@@ -121,9 +120,9 @@ def test_negative_squared_distance_rejected():
 
 
 def test_bank_sizes_and_flags():
-    data = two_blobs(n_per=6)
-    bank12 = build_kernel_bank(data, "clustering12")
-    bank7 = build_kernel_bank(data, "ssl7")
+    X, _ = two_blobs(n_per=6)
+    bank12 = build_kernel_bank(X, "clustering12")
+    bank7 = build_kernel_bank(X, "ssl7")
     assert len(bank12) == 12
     assert len(bank7) == 7
     for km in bank12 + bank7:
@@ -151,11 +150,11 @@ def test_bank_composition():
 
 
 def test_unknown_bank_and_family():
-    data = two_blobs(n_per=4)
+    X, _ = two_blobs(n_per=4)
     with pytest.raises(ValueError):
-        build_kernel_bank(data, "nope")
+        build_kernel_bank(X, "nope")
     with pytest.raises(ValueError):
-        compute_kernel(data, KernelSpec("rbf", t=1.0))
+        compute_kernel(X, KernelSpec("rbf", t=1.0))
 
 
 def test_spec_names():

@@ -191,10 +191,12 @@ def test_ssl_rejects_indefinite_laplacian(monkeypatch):
 def test_ssl_block_graph_is_perfect():
     Z = two_block_z(n_per=10)
     labels = np.repeat([0, 1], 10)
-    res = ssl_experiment(Z, labels, fraction=0.1, repeats=20, gamma=1.0, seed=0)
-    assert res.mean_acc == 1.0
-    assert res.std_acc == 0.0
-    assert len(res.per_repeat) == 20
+    mean_acc, std_acc, per_repeat = ssl_experiment(
+        Z, labels, fraction=0.1, repeats=20, gamma=1.0, seed=0
+    )
+    assert mean_acc == 1.0
+    assert std_acc == 0.0
+    assert len(per_repeat) == 20
 
 
 def test_ssl_fraction_one_is_degenerate():
@@ -204,10 +206,22 @@ def test_ssl_fraction_one_is_degenerate():
         ssl_experiment(Z, labels, fraction=1.0)
 
 
-def test_ssl_rejects_empty_class():
-    Z = two_block_z(n_per=3)
-    labels = np.array([0, 0, 0, 2, 2, 2])  # class 1 missing
-    with pytest.raises(ValueError):
+# each on a perfect block graph, one block per label value: class 1 missing; a
+# class -1 that is never labeled but would be scored; float ids, even integral
+@pytest.mark.parametrize(
+    "labels, match",
+    [
+        ([0, 0, 0, 2, 2, 2], "class 1 has no samples"),
+        ([0] * 4 + [1] * 4 + [-1] * 4, "nonnegative integer class ids"),
+        ([0.0] * 4 + [1.0] * 4 + [2.0] * 4, "nonnegative integer class ids"),
+    ],
+    ids=["missing_class", "negative_label", "float_labels"],
+)
+def test_ssl_rejects_empty_class(labels, match):
+    labels = np.array(labels)
+    Z = 0.8 * (labels[:, None] == labels[None, :])
+    np.fill_diagonal(Z, 0.0)
+    with pytest.raises(ValueError, match=match):
         ssl_experiment(Z, labels, fraction=0.3)
 
 
@@ -218,7 +232,9 @@ def test_ssl_stratified_counts_and_unlabeled_protocol(rng):
     np.fill_diagonal(Z, 0.0)
     labels = np.repeat([0, 1, 2], 4)
     fraction, repeats, gamma, seed = 0.3, 6, 0.5, 99
-    res = ssl_experiment(Z, labels, fraction, repeats=repeats, gamma=gamma, seed=seed)
+    mean_acc, _, per_repeat = ssl_experiment(
+        Z, labels, fraction, repeats=repeats, gamma=gamma, seed=seed
+    )
 
     L = laplacian(build_graph(Z))
     want = []
@@ -234,8 +250,8 @@ def test_ssl_stratified_counts_and_unlabeled_protocol(rng):
         F = np.linalg.solve(L + gamma * np.eye(12), gamma * Y)
         pred = F.argmax(axis=1)
         want.append(float((pred[~mask] == labels[~mask]).mean()))
-    np.testing.assert_allclose(res.per_repeat, want, atol=1e-12)
-    assert res.mean_acc == pytest.approx(np.mean(want))
+    np.testing.assert_allclose(per_repeat, want, atol=1e-12)
+    assert mean_acc == pytest.approx(np.mean(want))
 
 
 def test_ssl_input_validation():

@@ -14,7 +14,6 @@ from similearn import solver as solver_module
 from similearn.errors import DivergenceError, LinearSolveError
 from similearn.graph import cluster
 from similearn.kernels import (
-    Dataset,
     KernelSpec,
     build_kernel_bank,
     compute_kernel,
@@ -652,8 +651,8 @@ def test_solve_reaches_reference_objective_on_wide_gaussians(t):
     # mu = 1 can end far above the model's objective; PGD gives that objective
     rng = np.random.default_rng(0)
     y = np.repeat(np.arange(4), 10)
-    data = Dataset(features=rng.normal(size=(40, 10)) + 3.0 * y[:, None], labels=y, c=4)
-    K = normalize_kernel(compute_kernel(data, KernelSpec("gaussian", t=t))).values
+    X = rng.normal(size=(40, 10)) + 3.0 * y[:, None]
+    K = normalize_kernel(compute_kernel(X, KernelSpec("gaussian", t=t))).values
     sol = solve(K, SolverConfig(regularizer="sparse"), trace_objective=False)
     got = evaluate_objective(K, sol.Z, 0.1, 0.1, "sparse")
     Zp = _pgd_reference(K, 0.1, 0.1, seed=0, iters=3000)
@@ -720,23 +719,22 @@ def test_diagnostics_dict_roundtrip(rng):
 def test_duplicate_samples_solve_and_cluster_to_n_labels(reg):
     # every sample twice; c = n must still give each sample its own label
     X = np.random.default_rng(0).standard_normal((3, 2))
-    data = Dataset(features=np.vstack([X, X]))
-    for km in build_kernel_bank(data, "ssl7"):
+    for km in build_kernel_bank(np.vstack([X, X]), "ssl7"):
         sol = solve(km.values, SolverConfig(regularizer=reg))
         assert np.all(np.isfinite(sol.Z)), km.spec
         assert np.all(np.diag(sol.Z) == 0.0), km.spec
-        labels = cluster(sol.Z, 6, seed=0).assignments
+        labels, _ = cluster(sol.Z, 6, seed=0)
         assert len(set(labels.tolist())) == 6, km.spec
 
 
 @pytest.mark.parametrize("reg", ["low_rank", "sparse"])
 def test_two_samples_solve_and_cluster(reg):
-    data = Dataset(features=np.random.default_rng(1).standard_normal((2, 3)))
-    for km in build_kernel_bank(data, "clustering12"):
+    X = np.random.default_rng(1).standard_normal((2, 3))
+    for km in build_kernel_bank(X, "clustering12"):
         sol = solve(km.values, SolverConfig(regularizer=reg))
         assert sol.Z.shape == (2, 2)
         assert np.all(np.isfinite(sol.Z)), km.spec
         assert np.all(np.diag(sol.Z) == 0.0), km.spec
         for c in (1, 2):
-            labels = cluster(sol.Z, c, seed=0).assignments
+            labels, _ = cluster(sol.Z, c, seed=0)
             assert len(set(labels.tolist())) == c, (km.spec, c)

@@ -21,10 +21,10 @@ from pathlib import Path
 
 from . import __version__
 from .errors import DivergenceError, LinearSolveError
-from .graph import cluster
-from .harness import dense_labels, load_dataset, run_benchmark
+from .graph import cluster, require_square
+from .harness import dense_labels, load_dataset, read_sample_labels, run_benchmark
 from .io import read_labels, read_matrix, write_json, write_matrix
-from .kernels import BANKS, build_kernel_bank
+from .kernels import BANKS, bank_specs, compute_kernel, normalize_kernel
 from .metrics import accuracy, nmi
 from .semisupervised import DEFAULT_GAMMA, DEFAULT_REPEATS, ssl_experiment
 from .solver import REGULARIZERS, SolverConfig, canonical_regularizer, diagnostics_dict, solve
@@ -37,7 +37,8 @@ def _cmd_kernels(args):
     X, _, _ = load_dataset(args.data)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    for km in build_kernel_bank(X, args.bank):
+    for spec in bank_specs(args.bank):
+        km = normalize_kernel(compute_kernel(X, spec))
         name = km.spec.name
         write_matrix(out_dir / f"{name}.csv", km.values)
         write_json(
@@ -45,12 +46,14 @@ def _cmd_kernels(args):
             {
                 "family": km.spec.family,
                 "params": km.spec.params(),
-                # build_kernel_bank normalizes every kernel
                 "normalized": True,
                 "fallback_used": km.fallback_used,
             },
         )
         print(f"{name}: wrote {out_dir / (name + '.csv')}")
+        # one kernel in memory at a time: dropped before the next is built, so
+        # a kernel that fails leaves the files of the earlier ones complete
+        del km
     return 0
 
 
@@ -70,13 +73,14 @@ def _cmd_learn(args):
 
 def _cmd_cluster(args):
     Z = read_matrix(args.z)
+    if args.labels:
+        truth = _read_labels_of(Z, args.labels)
     assignments, inertia = cluster(Z, args.classes, seed=args.seed)
     out = {
         "assignments": [int(a) for a in assignments],
         "inertia": inertia,
     }
     if args.labels:
-        truth = read_labels(args.labels)
         out["acc"] = accuracy(assignments, truth)
         out["nmi"] = nmi(assignments, truth)
     write_json(args.out, out)
@@ -89,7 +93,7 @@ def _cmd_cluster(args):
 
 def _cmd_ssl(args):
     Z = read_matrix(args.z)
-    labels, _ = dense_labels(read_labels(args.labels))
+    labels, _ = dense_labels(_read_labels_of(Z, args.labels))
     mean_acc, std_acc, per_repeat = ssl_experiment(
         Z,
         labels,
@@ -112,6 +116,12 @@ def _cmd_ssl(args):
         f"over {args.repeats} repeats"
     )
     return 0
+
+
+def _read_labels_of(Z, labels_path):
+    """The labels in labels_path, checked to be one per row of a square Z."""
+    require_square(Z)
+    return read_sample_labels(labels_path, Z.shape[0])
 
 
 def _cmd_eval(args):

@@ -2,11 +2,13 @@
 
 
 class DegenerateKernelError(ValueError):
-    """Raised when a kernel matrix cannot be normalized.
+    """Raised when a kernel matrix cannot be built or normalized.
 
     Happens when every kernel-induced squared distance is zero and the
     entry-magnitude fallback also has nothing to divide by (all-zero
-    matrix), or when a squared distance is negative beyond tolerance.
+    matrix), when a squared distance is negative beyond tolerance, or
+    when the kernel, its scale or its scaled entries are not finite
+    (features too large or too small for the kernel).
     """
 
 

@@ -13,14 +13,19 @@ from scipy.linalg import eigh
 _RESTARTS, _MAX_ITER, _TOL = 20, 300, 1e-6
 
 
+def require_square(Z: np.ndarray):
+    """Raise ValueError unless Z is a square matrix."""
+    if Z.ndim != 2 or Z.shape[0] != Z.shape[1]:
+        raise ValueError(f"Z must be square, got shape {Z.shape}")
+
+
 def build_graph(Z: np.ndarray) -> np.ndarray:
     """S = (|Z| + |Z'|)/2; exactly symmetric, nonnegative, zero diagonal.
 
     Raises ValueError when Z is not square or not finite, or S overflows.
     """
     A = np.abs(np.asarray(Z, dtype=float))
-    if A.ndim != 2 or A.shape[0] != A.shape[1]:
-        raise ValueError(f"Z must be square, got shape {A.shape}")
+    require_square(A)
     with np.errstate(over="ignore"):
         S = (A + A.T) / 2.0
     if not np.isfinite(S).all():

@@ -176,13 +176,17 @@ def load_dataset(path, labels_path=None):
         raise ValueError(f"{path}: need at least 2 samples, got {X.shape[0]}")
     if labels_path is None:
         return X, None, None
+    return (X, *dense_labels(read_sample_labels(labels_path, X.shape[0])))
+
+
+def read_sample_labels(labels_path, n):
+    """The labels in labels_path; ValueError naming the file unless there are n."""
     labels = read_labels(labels_path)
-    if labels.shape[0] != X.shape[0]:
+    if labels.shape[0] != n:
         raise ValueError(
-            f"{labels_path}: label count {labels.shape[0]} does not match "
-            f"sample count {X.shape[0]}"
+            f"{labels_path}: label count {labels.shape[0]} does not match sample count {n}"
         )
-    return (X, *dense_labels(labels))
+    return labels
 
 
 def dense_labels(labels):

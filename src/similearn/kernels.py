@@ -25,6 +25,9 @@ from .errors import DegenerateKernelError
 # to zero; anything more negative indicates a broken kernel matrix.
 NEG_DIST_TOL = 1e-10
 
+# rows per block of kernel_squared_distances' 2K temporary
+_ROW_BLOCK = 64
+
 # bank name -> (gaussian t values, polynomial degrees b for a in {0, 1})
 BANKS = {
     "clustering12": ((0.01, 0.05, 0.1, 1.0, 10.0, 50.0, 100.0), (2, 4)),
@@ -88,29 +91,43 @@ def compute_kernel(X, spec: KernelSpec) -> KernelMatrix:
     ------
     DegenerateKernelError
         Gaussian kernel requested on a dataset whose samples are all
-        identical (the bandwidth d_max is zero).
+        identical (the bandwidth d_max is zero), or a kernel with a
+        non-finite entry (features too large or too small for it); the
+        message names the kernel.
     """
     X = np.asarray(X, dtype=float)
     _check_finite(X)
-    if spec.family == "gaussian":
-        # imported here, not at module level: only Gaussian kernels need scipy.spatial
-        from scipy.spatial.distance import cdist
+    # the arithmetic runs in place where that leaves every bit unchanged; an
+    # overflow surfaces as the non-finite check below, not as a numpy warning
+    with np.errstate(all="ignore"):
+        if spec.family == "gaussian":
+            # imported here, not at module level: only Gaussian kernels need scipy.spatial
+            from scipy.spatial.distance import cdist
 
-        sq = cdist(X, X, "sqeuclidean")
-        d2max = sq.max()
-        if d2max == 0.0:
-            raise DegenerateKernelError(
-                "gaussian kernel undefined: all samples identical (d_max = 0)"
-            )
-        K = np.exp(-sq / (spec.t * d2max))
-    elif spec.family == "linear":
-        K = X @ X.T
-    elif spec.family == "polynomial":
-        K = (spec.a + X @ X.T) ** spec.b
-    else:
-        raise ValueError(f"unknown kernel family {spec.family!r}")
-    # enforce exact symmetry lost to floating-point in the gram products
-    K = (K + K.T) / 2.0
+            K = cdist(X, X, "sqeuclidean")
+            d2max = K.max()
+            if d2max == 0.0:
+                raise DegenerateKernelError(
+                    "gaussian kernel undefined: all samples identical (d_max = 0)"
+                )
+            K /= -(spec.t * d2max)  # == -K / (t d2max) bit for bit: the sign flip is exact
+            np.exp(K, out=K)
+        elif spec.family == "linear":
+            K = X @ X.T
+        elif spec.family == "polynomial":
+            K = X @ X.T
+            K += spec.a
+            K **= spec.b
+        else:
+            raise ValueError(f"unknown kernel family {spec.family!r}")
+        # enforce exact symmetry lost to floating-point in the gram products
+        K = K + K.T
+        K /= 2.0
+    if not np.isfinite(K).all():
+        raise DegenerateKernelError(
+            f"{spec.name} kernel is not finite: the features are too large or too "
+            "small for it; rescale them"
+        )
     return KernelMatrix(values=K, spec=spec)
 
 
@@ -118,10 +135,15 @@ def kernel_squared_distances(K: np.ndarray) -> np.ndarray:
     """Matrix of kernel-induced squared distances K_ii + K_jj - 2 K_ij.
 
     Small negatives (above -1e-10) are clamped to zero; larger ones
-    raise, since they mean the input is not a valid kernel matrix.
+    raise, since they mean the input is not a valid kernel matrix. An
+    overflow gives inf or nan entries, without a numpy warning.
     """
     d = np.diag(K)
-    sq = d[:, None] + d[None, :] - 2.0 * K
+    with np.errstate(all="ignore"):
+        sq = d[:, None] + d[None, :]
+        # by row blocks, so that 2K is never a second n x n array
+        for i in range(0, len(K), _ROW_BLOCK):
+            sq[i : i + _ROW_BLOCK] -= 2.0 * K[i : i + _ROW_BLOCK]
     if sq.min() < -NEG_DIST_TOL:
         raise DegenerateKernelError(
             f"kernel-induced squared distance is negative ({sq.min():.3e})"
@@ -136,11 +158,12 @@ def normalize_kernel(km: KernelMatrix) -> KernelMatrix:
     When the largest induced squared distance is zero (possible for
     linear and polynomial kernels on degenerate data) the matrix is
     divided by its largest absolute entry instead and ``fallback_used``
-    is set. A zero matrix cannot be normalized at all.
+    is set. A zero matrix cannot be normalized at all, nor can a kernel
+    whose scale or scaled entries are not finite; the error names it.
     """
     K = km.values
-    sq = kernel_squared_distances(K)
-    scale = sq.max()
+    # only the maximum is kept: the n x n distances go before K / scale is built
+    scale = kernel_squared_distances(K).max()
     fallback = False
     if scale == 0.0:
         if km.spec.family == "gaussian":
@@ -153,7 +176,14 @@ def normalize_kernel(km: KernelMatrix) -> KernelMatrix:
         fallback = True
         if scale == 0.0:
             raise DegenerateKernelError("zero kernel matrix cannot be normalized")
-    return KernelMatrix(values=K / scale, spec=km.spec, fallback_used=fallback)
+    with np.errstate(all="ignore"):
+        values = K / scale
+    if not (np.isfinite(scale) and np.isfinite(values).all()):
+        raise DegenerateKernelError(
+            f"{km.spec.name} kernel cannot be normalized: its scale {scale:.3e} or "
+            "a scaled entry is not finite; rescale the features"
+        )
+    return KernelMatrix(values=values, spec=km.spec, fallback_used=fallback)
 
 
 def bank_specs(bank: str):

@@ -93,7 +93,8 @@ def ssl_experiment(
     Z : ndarray of shape (n, n)
         Learned coefficient matrix.
     labels : integer ndarray of shape (n,)
-        Ground-truth class ids 0..c-1, every class present.
+        Ground-truth class ids 0..c-1, every class present, one per row
+        of Z; a count mismatch raises ValueError before any label is drawn.
     fraction : float in (0, 1)
         Per-class share of samples to label, rounded up to at least one.
     repeats : int >= 1
@@ -112,6 +113,9 @@ def ssl_experiment(
     labels = np.asarray(labels)
     n = labels.shape[0]
     groups, c = _class_indices(labels)
+    L = laplacian(build_graph(Z))
+    if n != L.shape[0]:
+        raise ValueError(f"label count {n} does not match Z's sample count {L.shape[0]}")
     sizes = [max(1, math.ceil(fraction * g.size)) for g in groups]
     if sum(sizes) >= n:
         raise ValueError(
@@ -126,7 +130,7 @@ def ssl_experiment(
 
     # one solve for every repeat: their label matrices side by side, c columns each
     Y = np.hstack([make_label_matrix(labels, mask, c) for mask in masks])
-    F = lgc_propagate(laplacian(build_graph(Z)), Y, gamma)
+    F = lgc_propagate(L, Y, gamma)
     pred = F.reshape(n, repeats, c).argmax(axis=2)
     accs = [float((pred[~m, r] == labels[~m]).mean()) for r, m in enumerate(masks)]
     return float(np.mean(accs)), float(np.std(accs)), accs

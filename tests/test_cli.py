@@ -1,17 +1,24 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
+import tracemalloc
 from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import two_blobs
-from similearn import harness
+from similearn import cli, harness
 from similearn.cli import build_parser, main
 from similearn.io import read_matrix, write_labels, write_matrix
+from similearn.kernels import bank_specs, build_kernel_bank, compute_kernel, normalize_kernel
 from similearn.solver import SolverConfig, diagnostics_dict, solve
 
 # the directory the package is imported from, for fresh interpreters
@@ -43,6 +50,63 @@ def test_kernels_command(tmp_path, blob_files, capsys):
     }
     K = read_matrix(out / "gaussian_t1.csv")
     assert K.shape == (8, 8)
+
+
+def test_kernels_holds_one_kernel_at_a_time(tmp_path, capsys):
+    """kernels writes each kernel before building the next: far below the 12 n^2 of a whole bank."""
+    # loaded before tracing: the Gaussian kernels import it at first call
+    import scipy.spatial.distance  # noqa: F401
+
+    n = 200
+    X, _ = two_blobs(n_per=n // 2)
+    fp = tmp_path / "feats.csv"
+    write_matrix(fp, X)
+    tracemalloc.start()
+    try:
+        rc = main(["kernels", "--data", str(fp), "--out-dir", str(tmp_path / "bank")])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rc == 0
+    assert len(capsys.readouterr().out.splitlines()) == 12
+    assert peak < 4 * n * n * 8
+
+
+@pytest.mark.parametrize("bank", ["clustering12", "ssl7"])
+def test_kernels_files_match_build_kernel_bank(tmp_path, bank):
+    X, _ = two_blobs(n_per=15)
+    fp = tmp_path / "feats.csv"
+    write_matrix(fp, X)
+    assert main(["kernels", "--data", str(fp), "--bank", bank, "--out-dir", str(tmp_path / "cli")]) == 0
+    (tmp_path / "lib").mkdir()
+    for km in build_kernel_bank(read_matrix(fp), bank):
+        name = f"{km.spec.name}.csv"
+        write_matrix(tmp_path / "lib" / name, km.values)
+        assert (tmp_path / "cli" / name).read_bytes() == (tmp_path / "lib" / name).read_bytes()
+    assert len(list((tmp_path / "cli").glob("*.csv"))) == len(bank_specs(bank))
+
+
+# at 1e160 every squared distance overflows, so the first kernel fails; at 1e100
+# only the polynomials overflow, and the 8 kernels before them are on disk
+@pytest.mark.parametrize("scale, first_bad", [(1e160, 0), (1e100, 8)])
+def test_kernels_on_overflowing_features_exits_2(tmp_path, capsys, scale, first_bad):
+    X, _ = two_blobs(n_per=4)
+    fp, out = tmp_path / "feats.csv", tmp_path / "bank"
+    write_matrix(fp, scale * X)
+    assert main(["kernels", "--data", str(fp), "--out-dir", str(out)]) == 2
+    captured = capsys.readouterr()
+    specs = bank_specs("clustering12")
+    assert captured.err == (
+        f"error: {specs[first_bad].name} kernel is not finite: the features are too "
+        "large or too small for it; rescale them\n"
+    )
+    assert len(captured.out.splitlines()) == first_bad
+    assert sorted(out.iterdir()) == sorted(
+        out / f"{spec.name}{ext}" for spec in specs[:first_bad] for ext in (".csv", ".json")
+    )
+    for spec in specs[:first_bad]:
+        write_matrix(tmp_path / "want.csv", normalize_kernel(compute_kernel(read_matrix(fp), spec)).values)
+        assert (out / f"{spec.name}.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
 
 
 @pytest.mark.parametrize("reg", ["low_rank", "sparse"])
@@ -292,6 +356,27 @@ def test_cluster_and_ssl_on_a_non_square_z_exit_2(tmp_path, capsys, command):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "command, callee",
+    [(["cluster", "--classes", "2"], "cluster"), (["ssl", "--fraction", "0.5"], "ssl_experiment")],
+    ids=["cluster", "ssl"],
+)
+def test_cluster_and_ssl_check_the_label_count_first(
+    tmp_path, capsys, monkeypatch, command, callee
+):
+    z, lp = tmp_path / "z.csv", tmp_path / "labels.csv"
+    write_matrix(z, np.ones((6, 6)) - np.eye(6))
+    write_labels(lp, [0, 1] * 4)
+    monkeypatch.setattr(cli, callee, lambda *a, **k: pytest.fail("labels checked too late"))
+    out = tmp_path / "out.json"
+    rc = main([*command, "--z", str(z), "--labels", str(lp), "--out", str(out)])
+    assert rc == 2
+    assert capsys.readouterr().err == (
+        f"error: {lp}: label count 8 does not match sample count 6\n"
+    )
+    assert not out.exists()
+
+
 # gamma = 1 is within the rounding of L = D - S, whose largest degree d exceeds
 # 1 / (n eps): the factorization failed or returned noise-dominated scores
 @pytest.mark.parametrize(
@@ -405,3 +490,51 @@ def test_cli_version(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["--version"])
     assert exc.value.code == 0
+
+
+@st.composite
+def _feature_matrices(draw):
+    """2-12 samples of 1-4 features, magnitudes 1e-300 to 1e300, with repeats."""
+    n, m = draw(st.integers(2, 12)), draw(st.integers(1, 4))
+    lo = draw(st.integers(-300, 299))
+    hi = draw(st.integers(lo, min(299, lo + draw(st.sampled_from([0, 2, 20, 600])))))
+    entry = st.builds(
+        lambda sign, mantissa, exponent: sign * mantissa * 10.0**exponent,
+        st.sampled_from([-1.0, 1.0]),
+        st.floats(1.0, 9.99),
+        st.integers(lo, hi),
+    )
+    X = np.array(draw(st.lists(entry, min_size=n * m, max_size=n * m))).reshape(n, m)
+    # constant columns and repeated samples, leaving two samples that may differ
+    varying = draw(st.integers(0, m - 1))
+    for j in range(m):
+        if j != varying and draw(st.booleans()):
+            X[:, j] = X[0, j]
+    for i in range(2, n):
+        if draw(st.booleans()):
+            X[i] = X[draw(st.integers(0, i - 1))]
+    return X
+
+
+@settings(max_examples=150, deadline=None)
+@given(X=_feature_matrices(), bank=st.sampled_from(["clustering12", "ssl7"]))
+def test_kernels_fuzz_exits_cleanly(X, bank):
+    """Any finite features: exit 0 with finite, symmetric kernels, or exit 2 with a message."""
+    with tempfile.TemporaryDirectory() as tmp:
+        fp, out = Path(tmp) / "feats.csv", Path(tmp) / "bank"
+        write_matrix(fp, X)
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            rc = main(["kernels", "--data", str(fp), "--bank", bank, "--out-dir", str(out)])
+        assert rc in (0, 2)
+        assert "Traceback" not in err.getvalue()
+        if rc == 2:
+            assert err.getvalue().startswith("error: ")
+            return
+        csvs = sorted(out.glob("*.csv"))
+        assert len(csvs) == len(bank_specs(bank))
+        for p in csvs:
+            K = read_matrix(p)
+            assert K.shape == (len(X), len(X))
+            assert np.isfinite(K).all(), p.name
+            assert np.array_equal(K, K.T), p.name

@@ -418,6 +418,26 @@ def test_failed_kernels_recorded_not_fatal(tmp_path):
     assert len(cells) == 5  # linear + 4 polynomial cells still ran
 
 
+def test_overflowing_kernels_recorded_as_failures(tmp_path):
+    # features at 1e100: the four polynomial kernels overflow, the rest run
+    fp, lp = write_blob_files(tmp_path)
+    write_matrix(fp, 1e100 * read_matrix(fp))
+    cfg = ExperimentConfig(
+        task="clustering",
+        dataset=str(fp),
+        labels=str(lp),
+        out_dir=str(tmp_path / "out"),
+        regularizers=("sparse",),
+        max_iter=5,
+    ).validate()
+    _, info = run_experiment(cfg)
+    assert [f["kernel"] for f in info["failures"]] == [
+        "poly_a0_b2", "poly_a0_b4", "poly_a1_b2", "poly_a1_b4"
+    ]
+    for f in info["failures"]:
+        assert f["error"].startswith(f"DegenerateKernelError: {f['kernel']} kernel is not finite")
+
+
 # ------------------------------------------------------------- persist
 
 

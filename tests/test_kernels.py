@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.spatial.distance import cdist
 
 from conftest import two_blobs
 from similearn.errors import DegenerateKernelError
@@ -63,6 +64,44 @@ def test_nonfinite_features_rejected():
     X = np.array([[1.0, np.nan], [0.0, 1.0]])
     with pytest.raises(ValueError):
         compute_kernel(X, KernelSpec("linear"))
+
+
+def _textbook_kernel(X, spec):
+    """The kernel as its formula reads, one new array per operation."""
+    G = X @ X.T
+    if spec.family == "gaussian":
+        sq = cdist(X, X, "sqeuclidean")
+        K = np.exp(-sq / (spec.t * sq.max()))
+    elif spec.family == "linear":
+        K = G
+    else:
+        K = (spec.a + G) ** spec.b
+    K = (K + K.T) / 2.0
+    d = np.diag(K)
+    return K / np.maximum(d[:, None] + d[None, :] - 2.0 * K, 0.0).max()
+
+
+def test_in_place_arithmetic_leaves_every_bit_unchanged(rng):
+    X = 3.0 * rng.standard_normal((40, 6))
+    for spec in bank_specs("clustering12"):
+        got = normalize_kernel(compute_kernel(X, spec)).values
+        assert np.array_equal(got.view(np.uint64), _textbook_kernel(X, spec).view(np.uint64)), spec.name
+
+
+# 1e160: every squared distance overflows, so the first kernel fails; 1e100: only
+# the polynomials overflow. A leaked numpy warning fails the test (pyproject.toml)
+@pytest.mark.parametrize("scale, name", [(1e160, "gaussian_t0.01"), (1e100, "poly_a0_b2")])
+def test_overflowing_bank_names_the_kernel(scale, name):
+    X, _ = two_blobs(n_per=4)
+    with pytest.raises(DegenerateKernelError, match=f"^{name} kernel is not finite"):
+        build_kernel_bank(scale * X, "clustering12")
+
+
+def test_normalize_rejects_an_overflowing_scale():
+    # finite entries whose squared distance K_00 + K_11 - 2 K_01 is inf
+    K = np.array([[1e308, -1e308], [-1e308, 1e308]])
+    with pytest.raises(DegenerateKernelError, match="^linear kernel cannot be normalized"):
+        normalize_kernel(KernelMatrix(values=K, spec=KernelSpec("linear")))
 
 
 def test_kernel_symmetry(rng):

@@ -225,6 +225,12 @@ def test_ssl_rejects_empty_class(labels, match):
         ssl_experiment(Z, labels, fraction=0.3)
 
 
+def test_ssl_rejects_a_label_count_mismatch_before_drawing(monkeypatch):
+    monkeypatch.setattr(np.random, "SeedSequence", lambda *a: pytest.fail("labels drawn"))
+    with pytest.raises(ValueError, match="^label count 8 does not match Z's sample count 6$"):
+        ssl_experiment(two_block_z(n_per=3), np.repeat([0, 1], 4), fraction=0.3)
+
+
 def test_ssl_stratified_counts_and_unlabeled_protocol(rng):
     # replicate the documented seeding scheme and recompute accuracy
     # through a plain linear solve; results must agree exactly

@@ -4,11 +4,11 @@
 class DegenerateKernelError(ValueError):
     """Raised when a kernel matrix cannot be built or normalized.
 
-    Happens when every kernel-induced squared distance is zero and the
-    entry-magnitude fallback also has nothing to divide by (all-zero
-    matrix), when a squared distance is negative beyond tolerance, or
-    when the kernel, its scale or its scaled entries are not finite
-    (features too large or too small for the kernel).
+    Happens when a Gaussian d_max^2, or the normalizing scale after the
+    fallback to the largest |K|, is zero or subnormal; when a squared
+    distance is negative beyond tolerance; or when the kernel, its scale
+    or its scaled entries are not finite (features too large or too
+    small for the kernel). The message names the kernel.
     """
 
 

@@ -3,11 +3,14 @@
 The learned Z is symmetrized into a nonnegative similarity graph
 S = (|Z| + |Z'|)/2, turned into the unnormalized Laplacian
 L = diag(rowsum(S)) - S, embedded by its c smallest eigenpairs (the only
-ones computed), and finished with k-means (k-means++ seeding, restarts).
+ones computed), and finished with k-means (k-means++ seeding, restarts),
+whose squared distances are summed in numpy as scipy's cdist sums them.
 """
 
 import numpy as np
 from scipy.linalg import eigh
+
+from .kernels import _sqeuclidean
 
 # k-means restarts per call; each restart's Lloyd iteration cap and center-move tolerance
 _RESTARTS, _MAX_ITER, _TOL = 20, 300, 1e-6
@@ -80,11 +83,8 @@ def _assign(X, centers):
     center, which can only lower the objective. Returns (assignments,
     inertia, possibly-updated centers).
     """
-    # imported here, not at module level: only k-means needs scipy.spatial
-    from scipy.spatial.distance import cdist
-
     n = X.shape[0]
-    d2 = cdist(X, centers, "sqeuclidean")
+    d2 = _sqeuclidean(X, centers)
     assign = d2.argmin(axis=1)
     for k in range(centers.shape[0]):
         if not np.any(assign == k):

@@ -7,11 +7,13 @@ per row. Three kernel families are supported:
     linear:          k(x, y) = x . y
     polynomial(a,b): k(x, y) = (a + x . y)^b
 
-where d_max is the largest pairwise Euclidean distance over the dataset.
+where d_max is the largest pairwise Euclidean distance over the dataset
+(squared, summed feature by feature: the bits of scipy's cdist).
 Kernels are normalized by dividing every entry by the largest
 kernel-induced squared distance d2_ij = K_ii + K_jj - 2 K_ij; when that
 maximum is zero for a linear or polynomial kernel the largest absolute
-entry is used instead and the fallback is flagged.
+entry is used instead and the fallback is flagged. A Gaussian d_max^2 or
+a scale below the smallest normal float is rejected as short of precision.
 """
 
 from dataclasses import dataclass
@@ -27,6 +29,8 @@ NEG_DIST_TOL = 1e-10
 
 # rows per block of kernel_squared_distances' 2K temporary
 _ROW_BLOCK = 64
+
+_TINY = np.finfo(float).tiny  # smallest normal float: below it, precision is lost
 
 # bank name -> (gaussian t values, polynomial degrees b for a in {0, 1})
 BANKS = {
@@ -73,6 +77,17 @@ def _check_finite(X):
         raise ValueError("features contain non-finite values")
 
 
+def _sqeuclidean(A, B):
+    """Row-to-row squared distances, adding (a_k - b_k)^2 in feature order as cdist does."""
+    D = np.zeros((A.shape[0], B.shape[0]))
+    diff = np.empty_like(D)
+    for k in range(A.shape[1]):
+        np.subtract(A[:, k, None], B[None, :, k], out=diff)
+        diff *= diff
+        D += diff
+    return D
+
+
 def compute_kernel(X, spec: KernelSpec) -> KernelMatrix:
     """Evaluate an un-normalized kernel matrix over all sample pairs.
 
@@ -90,10 +105,10 @@ def compute_kernel(X, spec: KernelSpec) -> KernelMatrix:
     Raises
     ------
     DegenerateKernelError
-        Gaussian kernel requested on a dataset whose samples are all
-        identical (the bandwidth d_max is zero), or a kernel with a
-        non-finite entry (features too large or too small for it); the
-        message names the kernel.
+        Gaussian kernel whose largest squared distance d_max^2 is zero
+        (all samples identical) or subnormal (features too small), or a
+        kernel with a non-finite entry (features too large or too small
+        for it); the message names the kernel.
     """
     X = np.asarray(X, dtype=float)
     _check_finite(X)
@@ -101,14 +116,12 @@ def compute_kernel(X, spec: KernelSpec) -> KernelMatrix:
     # overflow surfaces as the non-finite check below, not as a numpy warning
     with np.errstate(all="ignore"):
         if spec.family == "gaussian":
-            # imported here, not at module level: only Gaussian kernels need scipy.spatial
-            from scipy.spatial.distance import cdist
-
-            K = cdist(X, X, "sqeuclidean")
+            K = _sqeuclidean(X, X)
             d2max = K.max()
-            if d2max == 0.0:
+            if d2max < _TINY:
                 raise DegenerateKernelError(
-                    "gaussian kernel undefined: all samples identical (d_max = 0)"
+                    f"{spec.name} kernel undefined: d_max^2 = {d2max:.3e} is zero or subnormal "
+                    "(all samples identical, or features too small); rescale the features"
                 )
             K /= -(spec.t * d2max)  # == -K / (t d2max) bit for bit: the sign flip is exact
             np.exp(K, out=K)
@@ -159,29 +172,33 @@ def normalize_kernel(km: KernelMatrix) -> KernelMatrix:
     linear and polynomial kernels on degenerate data) the matrix is
     divided by its largest absolute entry instead and ``fallback_used``
     is set. A zero matrix cannot be normalized at all, nor can a kernel
-    whose scale or scaled entries are not finite; the error names it.
+    with a negative induced squared distance, a subnormal scale, or a
+    scale or scaled entries that are not finite; the error names it.
     """
-    K = km.values
-    # only the maximum is kept: the n x n distances go before K / scale is built
-    scale = kernel_squared_distances(K).max()
+    K, name = km.values, km.spec.name
+    try:
+        # only the maximum is kept: the n x n distances go before K / scale is built
+        scale = kernel_squared_distances(K).max()
+    except DegenerateKernelError as e:
+        raise DegenerateKernelError(f"{name} kernel cannot be normalized: {e}") from None
     fallback = False
     if scale == 0.0:
         if km.spec.family == "gaussian":
             # only reachable on hand-built input; compute_kernel already
             # rejects the all-identical-samples case
             raise DegenerateKernelError(
-                "gaussian kernel with zero distance spread cannot be normalized"
+                f"{name} kernel with zero distance spread cannot be normalized"
             )
         scale = np.abs(K).max()
         fallback = True
         if scale == 0.0:
-            raise DegenerateKernelError("zero kernel matrix cannot be normalized")
+            raise DegenerateKernelError(f"{name} kernel is a zero matrix and cannot be normalized")
     with np.errstate(all="ignore"):
         values = K / scale
-    if not (np.isfinite(scale) and np.isfinite(values).all()):
+    if not (_TINY <= scale < np.inf and np.isfinite(values).all()):
         raise DegenerateKernelError(
-            f"{km.spec.name} kernel cannot be normalized: its scale {scale:.3e} or "
-            "a scaled entry is not finite; rescale the features"
+            f"{name} kernel cannot be normalized: its scale {scale:.3e} is subnormal or not "
+            "finite, or a scaled entry is not finite; rescale the features"
         )
     return KernelMatrix(values=values, spec=km.spec, fallback_used=fallback)
 

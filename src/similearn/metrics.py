@@ -41,18 +41,36 @@ def hungarian(cost) -> np.ndarray:
 
     Every row is matched when rows do not outnumber columns; otherwise
     every column is. Returns, per row, the assigned column, or -1 for a
-    row left unmatched.
+    row left unmatched. Shortest augmenting paths with row and column
+    potentials (Jonker & Volgenant 1987), on the transpose when r > c.
     """
-    # imported here, not at module level: only scoring needs scipy.optimize
-    from scipy.optimize import linear_sum_assignment
-
     cost = np.asarray(cost, dtype=float)
-    if not np.all(np.isfinite(cost)):
-        raise ValueError("cost matrix contains non-finite entries")
-    rows, cols = linear_sum_assignment(cost)
-    out = np.full(cost.shape[0], -1, dtype=int)
-    out[rows] = cols
-    return out
+    if cost.ndim != 2 or not np.all(np.isfinite(cost)):
+        raise ValueError(f"cost matrix must be 2-D with finite entries, got shape {cost.shape}")
+    transposed = cost.shape[0] > cost.shape[1]
+    a = cost.T if transposed else cost
+    r, c = a.shape
+    u, v = np.zeros(r), np.zeros(c + 1)
+    # row matched to each column, -1 if none; column c is each search's root
+    row_of = np.full(c + 1, -1)
+    for i in range(r):
+        row_of[c], j = i, c
+        minv, way, used = np.full(c, np.inf), np.zeros(c, dtype=int), np.zeros(c + 1, dtype=bool)
+        while row_of[j] >= 0:  # grow the shortest-path tree until it reaches a free column
+            used[j], i0 = True, row_of[j]
+            reduced = a[i0] - u[i0] - v[:c]
+            better = ~used[:c] & (reduced < minv)
+            minv[better], way[better] = reduced[better], j
+            j = int(np.where(used[:c], np.inf, minv).argmin())
+            delta = minv[j]
+            u[row_of[used]] += delta
+            v[used] -= delta
+            minv[~used[:c]] -= delta
+        while j != c:  # augment along the path back to the root
+            row_of[j] = row_of[way[j]]
+            j = way[j]
+    cols = np.flatnonzero(row_of[:c] >= 0)
+    return row_of[:c] if transposed else cols[np.argsort(row_of[cols])]
 
 
 def accuracy(pred, truth) -> float:

@@ -54,9 +54,6 @@ def test_kernels_command(tmp_path, blob_files, capsys):
 
 def test_kernels_holds_one_kernel_at_a_time(tmp_path, capsys):
     """kernels writes each kernel before building the next: far below the 12 n^2 of a whole bank."""
-    # loaded before tracing: the Gaussian kernels import it at first call
-    import scipy.spatial.distance  # noqa: F401
-
     n = 200
     X, _ = two_blobs(n_per=n // 2)
     fp = tmp_path / "feats.csv"
@@ -107,6 +104,21 @@ def test_kernels_on_overflowing_features_exits_2(tmp_path, capsys, scale, first_
     for spec in specs[:first_bad]:
         write_matrix(tmp_path / "want.csv", normalize_kernel(compute_kernel(read_matrix(fp), spec)).values)
         assert (out / f"{spec.name}.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
+
+
+# identical samples, or features so small that d_max^2 is subnormal: the first
+# Gaussian kernel fails, and the error names it
+@pytest.mark.parametrize("offset, scale", [(1.0, 0.0), (0.0, 1e-160)], ids=["identical", "subnormal"])
+def test_kernels_on_degenerate_features_names_the_kernel(tmp_path, capsys, offset, scale):
+    X, _ = two_blobs(n_per=4)
+    fp, out = tmp_path / "feats.csv", tmp_path / "bank"
+    write_matrix(fp, offset + scale * X)
+    assert main(["kernels", "--data", str(fp), "--out-dir", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: gaussian_t0.01 kernel undefined: d_max^2 = ")
+    assert captured.err.endswith("; rescale the features\n")
+    assert captured.out == ""
+    assert not any(out.iterdir())
 
 
 @pytest.mark.parametrize("reg", ["low_rank", "sparse"])
@@ -398,40 +410,69 @@ def test_ssl_on_a_z_too_large_for_gamma_exits_2(tmp_path, capsys, n, scale):
     assert not out.exists()
 
 
-# the modules only scoring (scipy.optimize) and Gaussian kernels and k-means
-# (scipy.spatial) need; learn and ssl must start without them
+# no command may load scipy.optimize or scipy.spatial, nor any module under them:
+# a finder ahead of the others records every attempt, and sys.modules is checked
 IMPORT_SET_PROBE = """
 import json
 import sys
+
+attempted = []
+
+
+class Recorder:
+    def find_spec(self, name, path=None, target=None):
+        if name.startswith(("scipy.optimize", "scipy.spatial")):
+            attempted.append(name)
+        return None
+
+
+sys.meta_path.insert(0, Recorder())
 import similearn.cli
 
-def deferred():
+
+def loaded():
     return sorted(m for m in sys.modules if m.startswith(("scipy.optimize", "scipy.spatial")))
 
-assert deferred() == [], deferred()
+
+assert (loaded(), attempted) == ([], []), (loaded(), attempted)
 assert "scipy.linalg" in sys.modules
 for argv in sys.argv[1:]:
     assert similearn.cli.main(json.loads(argv)) == 0, argv
-    assert deferred() == [], (argv, deferred())
+    assert (loaded(), attempted) == ([], []), (argv, loaded(), attempted)
 print("ok")
 """
 
 
-def test_learn_and_ssl_load_neither_scipy_optimize_nor_scipy_spatial(tmp_path):
+def test_no_command_loads_scipy_optimize_or_scipy_spatial(tmp_path):
     X, y = two_blobs(n_per=4)
-    kernel, z, lp = tmp_path / "k.csv", tmp_path / "z.csv", tmp_path / "labels.csv"
-    write_matrix(kernel, X @ X.T)
+    fp, lp, pred = tmp_path / "feats.csv", tmp_path / "labels.csv", tmp_path / "pred.csv"
+    write_matrix(fp, X)
     write_labels(lp, y)
-    learn = ["learn", "--kernel", str(kernel), "--reg", "sparse", "--max-iter", "5", "--out", str(z)]
-    ssl = ["ssl", "--z", str(z), "--labels", str(lp), "--fraction", "0.3", "--repeats", "2",
-           "--out", str(tmp_path / "ssl.json")]
+    write_labels(pred, 1 - y)
+    bank, z = tmp_path / "bank", tmp_path / "z.csv"
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"task": "clustering", "dataset": str(fp), "labels": str(lp),
+                                  "out_dir": str(tmp_path / "grid"), "max_iter": 5}))
+    commands = [
+        ["kernels", "--data", str(fp), "--out-dir", str(bank)],
+        ["learn", "--kernel", str(bank / "gaussian_t1.csv"), "--reg", "sparse", "--max-iter", "5",
+         "--out", str(z)],
+        ["cluster", "--z", str(z), "--classes", "2", "--labels", str(lp),
+         "--out", str(tmp_path / "cluster.json")],
+        ["ssl", "--z", str(z), "--labels", str(lp), "--fraction", "0.3", "--repeats", "2",
+         "--out", str(tmp_path / "ssl.json")],
+        ["eval", "--pred", str(pred), "--truth", str(lp)],
+        ["benchmark", "--config", str(config)],
+    ]
     out = subprocess.run(
-        [sys.executable, "-c", IMPORT_SET_PROBE, json.dumps(learn), json.dumps(ssl)],
+        [sys.executable, "-c", IMPORT_SET_PROBE, *map(json.dumps, commands)],
         cwd=tmp_path, env=dict(os.environ, PYTHONPATH=str(SRC)),
         capture_output=True, text=True,
     )
     assert (out.returncode, out.stderr) == (0, "")
     assert out.stdout.endswith("ok\n")
+    # eval scored the swapped labels through hungarian
+    assert '{"acc": 1.0, "nmi": 1.0}' in out.stdout.splitlines()
 
 
 def test_cli_reports_data_errors(tmp_path, capsys):

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.spatial.distance import cdist
 
 from conftest import two_blobs
@@ -7,6 +9,7 @@ from similearn.errors import DegenerateKernelError
 from similearn.kernels import (
     KernelMatrix,
     KernelSpec,
+    _sqeuclidean,
     bank_specs,
     build_kernel_bank,
     compute_kernel,
@@ -102,6 +105,83 @@ def test_normalize_rejects_an_overflowing_scale():
     K = np.array([[1e308, -1e308], [-1e308, 1e308]])
     with pytest.raises(DegenerateKernelError, match="^linear kernel cannot be normalized"):
         normalize_kernel(KernelMatrix(values=K, spec=KernelSpec("linear")))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    shape=st.tuples(st.integers(1, 60), st.integers(1, 60), st.integers(1, 30)),
+    exponents=st.tuples(st.integers(-150, 150), st.integers(-150, 150)),
+    seed=st.integers(0, 2**32 - 1),
+    same=st.booleans(),
+    zeros=st.booleans(),
+    repeats=st.booleans(),
+)
+def test_sqeuclidean_is_bitwise_cdist(shape, exponents, seed, same, zeros, repeats):
+    """Byte for byte scipy's cdist(A, B, "sqeuclidean"), B = A included."""
+    n, l, m = shape
+    lo, hi = sorted(exponents)
+    rng = np.random.default_rng(seed)
+
+    def draw(rows):
+        M = rng.standard_normal((rows, m)) * 10.0 ** rng.integers(lo, hi + 1, size=(rows, m))
+        if zeros:
+            M[rng.random((rows, m)) < 0.3] = -0.0
+            M[rng.random((rows, m)) < 0.1] = 0.0
+        if repeats:
+            M[rng.integers(rows, size=rows // 2)] = M[rng.integers(rows, size=rows // 2)]
+        return M
+
+    A = draw(n)
+    B = A if same else draw(l)
+    assert _sqeuclidean(A, B).tobytes() == cdist(A, B, "sqeuclidean").tobytes()
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: compute_kernel(np.ones((3, 2)), KernelSpec("gaussian", t=1.0)),
+         r"^gaussian_t1 kernel undefined: d_max\^2 = 0\.000e\+00 is zero or subnormal "
+         r"\(all samples identical, or features too small\); rescale the features$"),
+        (lambda: normalize_kernel(KernelMatrix(np.array([[0.0, 1.0], [1.0, 0.0]]), KernelSpec("linear"))),
+         r"^linear kernel cannot be normalized: kernel-induced squared distance is negative "
+         r"\(-2\.000e\+00\)$"),
+        (lambda: normalize_kernel(KernelMatrix(np.zeros((3, 3)), KernelSpec("polynomial", a=0, b=2))),
+         "^poly_a0_b2 kernel is a zero matrix and cannot be normalized$"),
+        (lambda: normalize_kernel(KernelMatrix(np.ones((2, 2)), KernelSpec("gaussian", t=0.1))),
+         "^gaussian_t0.1 kernel with zero distance spread cannot be normalized$"),
+    ],
+    ids=["identical_samples", "negative_distance", "zero_matrix", "zero_spread"],
+)
+def test_degenerate_kernel_errors_name_the_kernel(build, message):
+    with pytest.raises(DegenerateKernelError, match=message):
+        build()
+
+
+# the normalized Gaussian kernel is scale-invariant, but once d_max^2 or X X' is
+# subnormal its bits are short of precision: 1e-160 put gaussian_t1 off by 3.7e-5
+@pytest.mark.parametrize("scale", [1e-160, 1e-162])
+def test_subnormal_features_are_rejected(scale):
+    X, _ = two_blobs(n_per=4)
+    with pytest.raises(
+        DegenerateKernelError, match=r"^gaussian_t1 kernel undefined: d_max\^2 = \S+ is zero or subnormal"
+    ):
+        compute_kernel(scale * X, KernelSpec("gaussian", t=1.0))
+    with pytest.raises(
+        DegenerateKernelError, match=r"^linear kernel cannot be normalized: its scale \S+ is subnormal"
+    ):
+        normalize_kernel(compute_kernel(scale * X, KernelSpec("linear")))
+
+
+def test_normalize_rejects_a_subnormal_fallback_scale():
+    # every induced distance is 0, so the largest |K| is the scale: the fallback
+    # still holds at the smallest normal float, and is rejected just below it
+    tiny = np.finfo(float).tiny
+    out = normalize_kernel(KernelMatrix(np.full((2, 2), tiny), KernelSpec("linear")))
+    assert out.fallback_used and np.all(out.values == 1.0)
+    with pytest.raises(
+        DegenerateKernelError, match=r"^linear kernel cannot be normalized: its scale 1\.000e-310 is subnormal"
+    ):
+        normalize_kernel(KernelMatrix(np.full((2, 2), 1e-310), KernelSpec("linear")))
 
 
 def test_kernel_symmetry(rng):

@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.optimize import linear_sum_assignment
 
 from similearn.metrics import accuracy, contingency, hungarian, nmi
 
@@ -159,6 +160,25 @@ def test_hungarian_matches_exhaustive(rng):
             assert len(set(real.tolist())) == real.size
             total = sum(cost[i, j] for i, j in enumerate(got) if j >= 0)
             assert total == pytest.approx(_exhaustive_min_cost(cost))
+
+
+def test_hungarian_total_matches_scipy(rng):
+    # integer totals are exact; random float costs have one optimum, so both
+    # solvers pick the same pairs and the row-order sums agree bit for bit
+    for trial in range(400):
+        r, c = (int(k) for k in rng.integers(1, 26, size=2))
+        if trial % 2:
+            cost = rng.integers(-50, 50, size=(r, c)).astype(float)
+        else:
+            cost = rng.standard_normal((r, c)) * 10.0 ** rng.uniform(-3, 3)
+        got = hungarian(cost)
+        assert got.shape == (r,)
+        assert (got == -1).sum() == max(0, r - c)
+        real = got[got >= 0]
+        assert len(set(real.tolist())) == real.size
+        rows, cols = linear_sum_assignment(cost)
+        total = sum(cost[i, j] for i, j in enumerate(got) if j >= 0)
+        assert total == sum(cost[i, j] for i, j in zip(rows, cols)), (r, c)
 
 
 def test_hungarian_all_equal_costs():

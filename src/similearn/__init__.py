@@ -8,7 +8,6 @@ spectral clustering or graph-based semi-supervised classification.
 __version__ = "0.1.0"
 
 from .kernels import (
-    KernelMatrix,
     KernelSpec,
     build_kernel_bank,
     compute_kernel,

@@ -24,7 +24,7 @@ from .errors import DivergenceError, LinearSolveError
 from .graph import cluster, require_square
 from .harness import dense_labels, load_dataset, read_sample_labels, run_benchmark
 from .io import read_labels, read_matrix, write_json, write_matrix
-from .kernels import BANKS, bank_specs, compute_kernel, normalize_kernel
+from .kernels import BANKS, build_kernel_bank
 from .metrics import accuracy, nmi
 from .semisupervised import DEFAULT_GAMMA, DEFAULT_REPEATS, ssl_experiment
 from .solver import REGULARIZERS, SolverConfig, canonical_regularizer, diagnostics_dict, solve
@@ -37,23 +37,21 @@ def _cmd_kernels(args):
     X, _, _ = load_dataset(args.data)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    for spec in bank_specs(args.bank):
-        km = normalize_kernel(compute_kernel(X, spec))
-        name = km.spec.name
-        write_matrix(out_dir / f"{name}.csv", km.values)
+    for spec, K, fallback_used in build_kernel_bank(X, args.bank):
+        write_matrix(out_dir / f"{spec.name}.csv", K)
         write_json(
-            out_dir / f"{name}.json",
+            out_dir / f"{spec.name}.json",
             {
-                "family": km.spec.family,
-                "params": km.spec.params(),
+                "family": spec.family,
+                "params": spec.params(),
                 "normalized": True,
-                "fallback_used": km.fallback_used,
+                "fallback_used": fallback_used,
             },
         )
-        print(f"{name}: wrote {out_dir / (name + '.csv')}")
+        print(f"{spec.name}: wrote {out_dir / (spec.name + '.csv')}")
         # one kernel in memory at a time: dropped before the next is built, so
         # a kernel that fails leaves the files of the earlier ones complete
-        del km
+        del K
     return 0
 
 

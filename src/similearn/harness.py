@@ -14,8 +14,8 @@ All randomness flows from the single configured seed; reruns with an
 equal config produce byte-identical CSV output. Cells run on a thread
 pool sized by the SIMILEARN_WORKERS environment variable (default: the
 usable CPUs), which holds OpenBLAS to one thread per worker while it
-runs; rows are sorted canonically before persistence, so worker count,
-completion order and thread variables never change the output.
+runs; rows keep job order within canonically sorted groups, so worker
+count, completion order and thread variables never change the output.
 """
 
 import contextlib
@@ -55,8 +55,7 @@ class ResultRow:
 
     Metric fields are None when they do not apply (no ground truth
     metric for a failed cell, no NMI for label propagation, no std
-    without repeats). kernel_order carries the bank position for
-    canonical sorting and stays out of the CSV.
+    without repeats).
     """
 
     dataset: str
@@ -72,10 +71,9 @@ class ResultRow:
     nmi_std: Optional[float] = None
     converged: Optional[bool] = None
     iterations: Optional[int] = None
-    kernel_order: int = 0
 
 
-CSV_COLUMNS = tuple(f.name for f in fields(ResultRow) if f.name != "kernel_order")
+CSV_COLUMNS = tuple(f.name for f in fields(ResultRow))
 
 
 @dataclass
@@ -198,36 +196,23 @@ def dense_labels(labels):
     return dense, c
 
 
-def _row_sort_key(row: ResultRow):
-    kind = {BEST_KERNEL: 1, MEAN_KERNEL: 2}.get(row.kernel, 0)
-    return (*_group_key(row), kind, row.kernel_order)
-
-
 def _summarize(cells):
-    """Best/mean-over-kernels rows for every hyperparameter group.
+    """Each hyperparameter group's cells in bank order, then its best/mean-over-kernels rows.
 
-    Only cells that produced metrics participate; the best row's std
-    is the std of the cell that achieved the best mean accuracy.
+    Groups come sorted. Only cells that produced metrics enter the summary
+    rows; the best row's std is that of the cell with the best mean accuracy.
     """
     groups = {}
     for r in cells:
         groups.setdefault(_group_key(r), []).append(r)
     out = []
     for key in sorted(groups):
-        ok = sorted(
-            (r for r in groups[key] if r.acc is not None),
-            key=lambda r: r.kernel_order,
-        )
+        out += groups[key]
+        ok = [r for r in groups[key] if r.acc is not None]
         if not ok:
             continue
-        base = dict(
-            dataset=ok[0].dataset,
-            regularizer=ok[0].regularizer,
-            alpha=ok[0].alpha,
-            beta=ok[0].beta,
-            gamma=ok[0].gamma,
-            fraction=ok[0].fraction,
-        )
+        shared = ("dataset", "regularizer", "alpha", "beta", "gamma", "fraction")
+        base = {name: getattr(ok[0], name) for name in shared}
         accs = [r.acc for r in ok]
         nmis = [r.nmi for r in ok if r.nmi is not None]
         argbest = int(np.argmax(accs))
@@ -301,42 +286,42 @@ def run_experiment(config: ExperimentConfig):
     out_dir.mkdir(parents=True, exist_ok=True)
     metrics = _clustering_metrics if config.task == "clustering" else _ssl_metrics
     X, labels, c = load_dataset(config.dataset, config.labels)
+    # not build_kernel_bank, whose first failing kernel would end the bank: a
+    # kernel that cannot be built is the error of each of its cells. Only the
+    # message is kept, so the failed build's arrays are not held by a traceback
     kernels = []
-    failures = []
-    # a kernel that cannot be built fails its cells, not the whole grid
-    for order, spec in enumerate(bank_specs(config.bank)):
+    for spec in bank_specs(config.bank):
         try:
-            kernels.append((order, normalize_kernel(compute_kernel(X, spec))))
+            kernels.append((spec, normalize_kernel(compute_kernel(X, spec), spec)[0], None))
         except Exception as e:
-            failures.append(
-                {"kernel": spec.name, "error": f"{type(e).__name__}: {e}"}
-            )
+            kernels.append((spec, None, f"{type(e).__name__}: {e}"))
 
     dataset_name = Path(config.dataset).stem
     jobs = [
-        (order, km, reg, alpha, beta)
-        for order, km in kernels
+        (spec, K, error, reg, alpha, beta)
+        for spec, K, error in kernels
         for reg in config.regularizers
         for alpha in config.alphas
         for beta in config.betas
     ]
 
     def run_cell(job):
-        order, km, reg, alpha, beta = job
-        where = dict(kernel=km.spec.name, regularizer=reg, alpha=alpha, beta=beta)
-        cell = dict(where, dataset=dataset_name, kernel_order=order)
-        try:
-            cfg = config.solver_config(reg, alpha, beta)
-            sol = solve(km.values, cfg, trace_objective=False)
-            if config.save_z:
-                write_matrix(_z_path(out_dir, km.spec.name, reg, alpha, beta), sol.Z)
-            end = dict(converged=sol.converged, iterations=sol.iterations)
-            return [
-                ResultRow(**cell, **m, **end) for m in metrics(sol.Z, labels, c, config)
-            ], None
-        except Exception as e:
-            failure = dict(where, error=f"{type(e).__name__}: {e}")
-            return [ResultRow(**cell, converged=False)], failure
+        spec, K, error, reg, alpha, beta = job
+        where = dict(kernel=spec.name, regularizer=reg, alpha=alpha, beta=beta)
+        cell = dict(where, dataset=dataset_name)
+        if error is None:
+            try:
+                cfg = config.solver_config(reg, alpha, beta)
+                sol = solve(K, cfg, trace_objective=False)
+                if config.save_z:
+                    write_matrix(_z_path(out_dir, spec.name, reg, alpha, beta), sol.Z)
+                end = dict(converged=sol.converged, iterations=sol.iterations)
+                return [
+                    ResultRow(**cell, **m, **end) for m in metrics(sol.Z, labels, c, config)
+                ], None
+            except Exception as e:
+                error = f"{type(e).__name__}: {e}"
+        return [ResultRow(**cell, converged=False)], dict(where, error=error)
 
     # one BLAS thread per worker: the workers are the parallelism, and
     # multi-threaded OpenBLAS would change the last bits of Z
@@ -344,10 +329,8 @@ def run_experiment(config: ExperimentConfig):
         with ThreadPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(run_cell, jobs))
 
-    rows = [row for cell_rows, _ in results for row in cell_rows]
-    failures += [failure for _, failure in results if failure is not None]
-    rows += _summarize(rows)
-    rows.sort(key=_row_sort_key)
+    rows = _summarize([row for cell_rows, _ in results for row in cell_rows])
+    failures = [failure for _, failure in results if failure is not None]
     info = {"n_cells": len(jobs), "n_failed": len(failures), "failures": failures}
     info.update(workers=workers, cpus=cpus, blas_threads=blas, python=platform.python_version(),
                 numpy=np.__version__, scipy=scipy.__version__)

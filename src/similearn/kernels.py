@@ -65,18 +65,6 @@ class KernelSpec:
         return {}
 
 
-@dataclass
-class KernelMatrix:
-    values: np.ndarray
-    spec: KernelSpec
-    fallback_used: bool = False
-
-
-def _check_finite(X):
-    if not np.all(np.isfinite(X)):
-        raise ValueError("features contain non-finite values")
-
-
 def _sqeuclidean(A, B):
     """Row-to-row squared distances, adding (a_k - b_k)^2 in feature order as cdist does."""
     D = np.zeros((A.shape[0], B.shape[0]))
@@ -88,7 +76,7 @@ def _sqeuclidean(A, B):
     return D
 
 
-def compute_kernel(X, spec: KernelSpec) -> KernelMatrix:
+def compute_kernel(X, spec: KernelSpec) -> np.ndarray:
     """Evaluate an un-normalized kernel matrix over all sample pairs.
 
     Parameters
@@ -99,7 +87,7 @@ def compute_kernel(X, spec: KernelSpec) -> KernelMatrix:
 
     Returns
     -------
-    KernelMatrix
+    ndarray of shape (n, n)
         Not yet normalized.
 
     Raises
@@ -111,7 +99,8 @@ def compute_kernel(X, spec: KernelSpec) -> KernelMatrix:
         for it); the message names the kernel.
     """
     X = np.asarray(X, dtype=float)
-    _check_finite(X)
+    if not np.all(np.isfinite(X)):
+        raise ValueError("features contain non-finite values")
     # the arithmetic runs in place where that leaves every bit unchanged; an
     # overflow surfaces as the non-finite check below, not as a numpy warning
     with np.errstate(all="ignore"):
@@ -141,7 +130,7 @@ def compute_kernel(X, spec: KernelSpec) -> KernelMatrix:
             f"{spec.name} kernel is not finite: the features are too large or too "
             "small for it; rescale them"
         )
-    return KernelMatrix(values=K, spec=spec)
+    return K
 
 
 def kernel_squared_distances(K: np.ndarray) -> np.ndarray:
@@ -165,17 +154,17 @@ def kernel_squared_distances(K: np.ndarray) -> np.ndarray:
     return sq
 
 
-def normalize_kernel(km: KernelMatrix) -> KernelMatrix:
-    """Scale a kernel so its largest induced squared distance becomes 1.
+def normalize_kernel(K: np.ndarray, spec: KernelSpec):
+    """(K scaled so its largest induced squared distance becomes 1, fallback_used).
 
     When the largest induced squared distance is zero (possible for
     linear and polynomial kernels on degenerate data) the matrix is
     divided by its largest absolute entry instead and ``fallback_used``
-    is set. A zero matrix cannot be normalized at all, nor can a kernel
+    is True. A zero matrix cannot be normalized at all, nor can a kernel
     with a negative induced squared distance, a subnormal scale, or a
-    scale or scaled entries that are not finite; the error names it.
+    scale or scaled entries that are not finite; the error names spec.
     """
-    K, name = km.values, km.spec.name
+    name = spec.name
     try:
         # only the maximum is kept: the n x n distances go before K / scale is built
         scale = kernel_squared_distances(K).max()
@@ -183,7 +172,7 @@ def normalize_kernel(km: KernelMatrix) -> KernelMatrix:
         raise DegenerateKernelError(f"{name} kernel cannot be normalized: {e}") from None
     fallback = False
     if scale == 0.0:
-        if km.spec.family == "gaussian":
+        if spec.family == "gaussian":
             # only reachable on hand-built input; compute_kernel already
             # rejects the all-identical-samples case
             raise DegenerateKernelError(
@@ -192,7 +181,10 @@ def normalize_kernel(km: KernelMatrix) -> KernelMatrix:
         scale = np.abs(K).max()
         fallback = True
         if scale == 0.0:
-            raise DegenerateKernelError(f"{name} kernel is a zero matrix and cannot be normalized")
+            raise DegenerateKernelError(
+                f"{name} kernel is a zero matrix and cannot be normalized: the features are "
+                "zero or too small for it; rescale them"
+            )
     with np.errstate(all="ignore"):
         values = K / scale
     if not (_TINY <= scale < np.inf and np.isfinite(values).all()):
@@ -200,7 +192,7 @@ def normalize_kernel(km: KernelMatrix) -> KernelMatrix:
             f"{name} kernel cannot be normalized: its scale {scale:.3e} is subnormal or not "
             "finite, or a scaled entry is not finite; rescale the features"
         )
-    return KernelMatrix(values=values, spec=km.spec, fallback_used=fallback)
+    return values, fallback
 
 
 def bank_specs(bank: str):
@@ -221,9 +213,11 @@ def bank_specs(bank: str):
 
 
 def build_kernel_bank(X, bank: str):
-    """Compute and normalize every kernel in a named bank over the rows of X.
+    """(spec, normalized K, fallback_used) of each kernel in a named bank, built lazily.
 
-    Returns a list of normalized KernelMatrix in the bank's canonical
-    order (gaussians by increasing t, then linear, then polynomials).
+    Canonical order: gaussians by increasing t, then linear, then
+    polynomials. A kernel that cannot be built raises and ends the bank.
     """
-    return [normalize_kernel(compute_kernel(X, s)) for s in bank_specs(bank)]
+    # no name holds K between kernels: a caller that drops its reference
+    # before asking for the next kernel holds one kernel at a time
+    return ((spec, *normalize_kernel(compute_kernel(X, spec), spec)) for spec in bank_specs(bank))

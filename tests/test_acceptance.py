@@ -229,12 +229,12 @@ def test_criterion_6_end_to_end_clustering():
     good = 0
     for seed in range(10):
         X, y = two_blobs(n_per=20, sep=10.0, seed=seed)
-        bank = build_kernel_bank(X, "clustering12")
+        bank = [K for _, K, _ in build_kernel_bank(X, "clustering12")]
         perfect_both = True
         for reg in ("low_rank", "sparse"):
             best = 0.0
-            for km in bank:
-                sol = solve(km.values, SolverConfig(regularizer=reg))
+            for K in bank:
+                sol = solve(K, SolverConfig(regularizer=reg))
                 pred, _ = cluster(sol.Z, 2, seed=seed)
                 best = max(best, accuracy(pred, y))
                 if best == 1.0:
@@ -249,11 +249,11 @@ def test_criterion_6_end_to_end_clustering():
 def test_criterion_7_end_to_end_ssl():
     t0 = time.perf_counter()
     X, y = two_blobs(n_per=20, sep=10.0, seed=0)
-    bank = build_kernel_bank(X, "ssl7")
+    bank = [K for _, K, _ in build_kernel_bank(X, "ssl7")]
     best = 0.0
     for reg in ("low_rank", "sparse"):
-        for km in bank:
-            sol = solve(km.values, SolverConfig(regularizer=reg))
+        for K in bank:
+            sol = solve(K, SolverConfig(regularizer=reg))
             mean_acc, _, _ = ssl_experiment(sol.Z, y, 0.1, repeats=20, gamma=1.0, seed=0)
             best = max(best, mean_acc)
     elapsed = time.perf_counter() - t0
@@ -263,10 +263,9 @@ def test_criterion_7_end_to_end_ssl():
 
 def _best_over_bank(data, reg, seed=0):
     X, labels, c = data
-    bank = build_kernel_bank(X, "clustering12")
     best = 0.0
-    for km in bank:
-        sol = solve(km.values, SolverConfig(regularizer=reg))
+    for _, K, _ in build_kernel_bank(X, "clustering12"):
+        sol = solve(K, SolverConfig(regularizer=reg))
         pred, _ = cluster(sol.Z, c, seed=seed)
         best = max(best, accuracy(pred, labels))
     return best

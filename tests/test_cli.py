@@ -1,4 +1,5 @@
 import contextlib
+import csv
 import io
 import json
 import os
@@ -76,9 +77,9 @@ def test_kernels_files_match_build_kernel_bank(tmp_path, bank):
     write_matrix(fp, X)
     assert main(["kernels", "--data", str(fp), "--bank", bank, "--out-dir", str(tmp_path / "cli")]) == 0
     (tmp_path / "lib").mkdir()
-    for km in build_kernel_bank(read_matrix(fp), bank):
-        name = f"{km.spec.name}.csv"
-        write_matrix(tmp_path / "lib" / name, km.values)
+    for spec, K, _ in build_kernel_bank(read_matrix(fp), bank):
+        name = f"{spec.name}.csv"
+        write_matrix(tmp_path / "lib" / name, K)
         assert (tmp_path / "cli" / name).read_bytes() == (tmp_path / "lib" / name).read_bytes()
     assert len(list((tmp_path / "cli").glob("*.csv"))) == len(bank_specs(bank))
 
@@ -102,7 +103,7 @@ def test_kernels_on_overflowing_features_exits_2(tmp_path, capsys, scale, first_
         out / f"{spec.name}{ext}" for spec in specs[:first_bad] for ext in (".csv", ".json")
     )
     for spec in specs[:first_bad]:
-        write_matrix(tmp_path / "want.csv", normalize_kernel(compute_kernel(read_matrix(fp), spec)).values)
+        write_matrix(tmp_path / "want.csv", normalize_kernel(compute_kernel(read_matrix(fp), spec), spec)[0])
         assert (out / f"{spec.name}.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
 
 
@@ -299,9 +300,14 @@ def test_benchmark_without_results_exits_2(
     p = write_config(tmp_path, *blob_files)
     assert main(["benchmark", "--config", str(p)]) == 2
     assert "error: no grid cell produced metrics" in capsys.readouterr().err
-    assert (tmp_path / "out" / "results.csv").exists()
+    # one row per cell of the 12-kernel bank, with empty metrics
+    with open(tmp_path / "out" / "results.csv", newline="") as f:
+        rows = list(csv.DictReader(f))
+    assert [r["kernel"] for r in rows] == [spec.name for spec in bank_specs("clustering12")]
+    assert all(r["acc"] == r["nmi"] == r["iterations"] == "" for r in rows)
+    assert all(r["converged"] == "false" for r in rows)
     manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
-    assert manifest["n_failed"] == 12
+    assert manifest["n_cells"] == manifest["n_failed"] == len(manifest["failures"]) == 12
 
 
 def test_ssl_relabels_gapped_labels_with_warning(tmp_path):

@@ -32,6 +32,7 @@ from similearn.harness import (
     run_experiment,
 )
 from similearn.io import read_matrix, write_labels, write_matrix
+from similearn.kernels import bank_specs
 from similearn.metrics import accuracy
 
 
@@ -196,17 +197,12 @@ def test_clustering_grid_row_counts(tmp_path):
 
 def test_summary_rows_recomputable(tmp_path):
     rows, _ = run_experiment(small_config(tmp_path))
+    names = [spec.name for spec in bank_specs("clustering12")]
     for reg in ("low_rank", "sparse"):
-        cells = sorted(
-            (
-                r
-                for r in rows
-                if r.regularizer == reg and r.kernel not in (BEST_KERNEL, MEAN_KERNEL)
-            ),
-            key=lambda r: r.kernel_order,
-        )
-        best = next(r for r in rows if r.regularizer == reg and r.kernel == BEST_KERNEL)
-        mean = next(r for r in rows if r.regularizer == reg and r.kernel == MEAN_KERNEL)
+        # each group: its cells in bank order, then its best and mean rows
+        group = [r for r in rows if r.regularizer == reg]
+        assert [r.kernel for r in group] == names + [BEST_KERNEL, MEAN_KERNEL]
+        cells, (best, mean) = group[:-2], group[-2:]
         assert best.acc == max(r.acc for r in cells)
         assert best.nmi == max(r.nmi for r in cells)
         assert mean.acc == float(np.mean([r.acc for r in cells]))
@@ -412,10 +408,25 @@ def test_failed_kernels_recorded_not_fatal(tmp_path):
         regularizers=("sparse",),
     ).validate()
     rows, info = run_experiment(cfg)
-    assert info["n_failed"] == 7
+    assert info["n_cells"] == 12
+    assert info["n_failed"] == len(info["failures"]) == 7
     assert all("gaussian" in f["kernel"] for f in info["failures"])
+    for f in info["failures"]:
+        assert set(f) == {"kernel", "regularizer", "alpha", "beta", "error"}
+        assert f["error"].startswith(f"DegenerateKernelError: {f['kernel']} kernel undefined")
+    # every cell has a row; the 7 gaussian cells have empty metrics
     cells = [r for r in rows if r.kernel not in (BEST_KERNEL, MEAN_KERNEL)]
-    assert len(cells) == 5  # linear + 4 polynomial cells still ran
+    assert [r.kernel for r in cells] == [spec.name for spec in bank_specs("clustering12")]
+    failed = [r for r in cells if "gaussian" in r.kernel]
+    assert len(failed) == 7
+    assert all(r.acc is r.nmi is r.iterations is None and r.converged is False for r in failed)
+    ran = [r for r in cells if "gaussian" not in r.kernel]  # linear + 4 polynomial cells
+    assert all(r.acc is not None for r in ran)
+    # the summary rows cover only the 5 kernels that ran
+    best = next(r for r in rows if r.kernel == BEST_KERNEL)
+    mean = next(r for r in rows if r.kernel == MEAN_KERNEL)
+    assert best.acc == max(r.acc for r in ran)
+    assert mean.acc == float(np.mean([r.acc for r in ran]))
 
 
 def test_overflowing_kernels_recorded_as_failures(tmp_path):
@@ -431,6 +442,8 @@ def test_overflowing_kernels_recorded_as_failures(tmp_path):
         max_iter=5,
     ).validate()
     _, info = run_experiment(cfg)
+    assert info["n_cells"] == 12
+    assert info["n_failed"] == 4
     assert [f["kernel"] for f in info["failures"]] == [
         "poly_a0_b2", "poly_a0_b4", "poly_a1_b2", "poly_a1_b4"
     ]

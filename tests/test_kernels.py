@@ -7,7 +7,6 @@ from scipy.spatial.distance import cdist
 from conftest import two_blobs
 from similearn.errors import DegenerateKernelError
 from similearn.kernels import (
-    KernelMatrix,
     KernelSpec,
     _sqeuclidean,
     bank_specs,
@@ -21,38 +20,38 @@ from similearn.kernels import (
 def test_gaussian_pinned_values():
     # two points at the maximum distance: k = exp(-1) there, 1 on the diagonal
     X = np.array([[0.0, 0.0], [3.0, 4.0]])
-    km = compute_kernel(X, KernelSpec("gaussian", t=1.0))
-    assert km.values[0, 0] == 1.0 and km.values[1, 1] == 1.0
-    np.testing.assert_allclose(km.values[0, 1], np.exp(-1.0), rtol=1e-12)
+    K = compute_kernel(X, KernelSpec("gaussian", t=1.0))
+    assert K[0, 0] == 1.0 and K[1, 1] == 1.0
+    np.testing.assert_allclose(K[0, 1], np.exp(-1.0), rtol=1e-12)
 
 
 def test_gaussian_diagonal_exactly_one(rng):
     X = rng.standard_normal((15, 4))
-    km = compute_kernel(X, KernelSpec("gaussian", t=0.1))
-    assert np.all(np.diag(km.values) == 1.0)
+    K = compute_kernel(X, KernelSpec("gaussian", t=0.1))
+    assert np.all(np.diag(K) == 1.0)
 
 
 def test_linear_orthogonal_vectors():
     X = np.array([[1.0, 0.0], [0.0, 1.0]])
-    km = compute_kernel(X, KernelSpec("linear"))
-    assert km.values[0, 1] == 0.0
-    assert km.values[0, 0] == 1.0
+    K = compute_kernel(X, KernelSpec("linear"))
+    assert K[0, 1] == 0.0
+    assert K[0, 0] == 1.0
 
 
 def test_polynomial_pinned_value():
     # inner product 1, a=1, b=2 -> (1+1)^2 = 4
     X = np.array([[1.0], [1.0], [2.0]])
-    km = compute_kernel(X, KernelSpec("polynomial", a=1, b=2))
-    assert km.values[0, 1] == 4.0
+    K = compute_kernel(X, KernelSpec("polynomial", a=1, b=2))
+    assert K[0, 1] == 4.0
 
 
 def test_gaussian_monotone_in_distance(rng):
     X = rng.standard_normal((12, 3))
-    km = compute_kernel(X, KernelSpec("gaussian", t=1.0))
+    K = compute_kernel(X, KernelSpec("gaussian", t=1.0))
     d = np.sqrt(((X[:, None, :] - X[None, :, :]) ** 2).sum(-1))
     iu = np.triu_indices(12, 1)
     order = np.argsort(d[iu])
-    ks = km.values[iu][order]
+    ks = K[iu][order]
     # larger distance never yields a larger kernel value
     assert np.all(np.diff(ks) <= 1e-15)
 
@@ -87,7 +86,7 @@ def _textbook_kernel(X, spec):
 def test_in_place_arithmetic_leaves_every_bit_unchanged(rng):
     X = 3.0 * rng.standard_normal((40, 6))
     for spec in bank_specs("clustering12"):
-        got = normalize_kernel(compute_kernel(X, spec)).values
+        got, _ = normalize_kernel(compute_kernel(X, spec), spec)
         assert np.array_equal(got.view(np.uint64), _textbook_kernel(X, spec).view(np.uint64)), spec.name
 
 
@@ -97,14 +96,14 @@ def test_in_place_arithmetic_leaves_every_bit_unchanged(rng):
 def test_overflowing_bank_names_the_kernel(scale, name):
     X, _ = two_blobs(n_per=4)
     with pytest.raises(DegenerateKernelError, match=f"^{name} kernel is not finite"):
-        build_kernel_bank(scale * X, "clustering12")
+        list(build_kernel_bank(scale * X, "clustering12"))
 
 
 def test_normalize_rejects_an_overflowing_scale():
     # finite entries whose squared distance K_00 + K_11 - 2 K_01 is inf
     K = np.array([[1e308, -1e308], [-1e308, 1e308]])
     with pytest.raises(DegenerateKernelError, match="^linear kernel cannot be normalized"):
-        normalize_kernel(KernelMatrix(values=K, spec=KernelSpec("linear")))
+        normalize_kernel(K, KernelSpec("linear"))
 
 
 @settings(max_examples=300, deadline=None)
@@ -142,15 +141,20 @@ def test_sqeuclidean_is_bitwise_cdist(shape, exponents, seed, same, zeros, repea
         (lambda: compute_kernel(np.ones((3, 2)), KernelSpec("gaussian", t=1.0)),
          r"^gaussian_t1 kernel undefined: d_max\^2 = 0\.000e\+00 is zero or subnormal "
          r"\(all samples identical, or features too small\); rescale the features$"),
-        (lambda: normalize_kernel(KernelMatrix(np.array([[0.0, 1.0], [1.0, 0.0]]), KernelSpec("linear"))),
+        (lambda: normalize_kernel(np.array([[0.0, 1.0], [1.0, 0.0]]), KernelSpec("linear")),
          r"^linear kernel cannot be normalized: kernel-induced squared distance is negative "
          r"\(-2\.000e\+00\)$"),
-        (lambda: normalize_kernel(KernelMatrix(np.zeros((3, 3)), KernelSpec("polynomial", a=0, b=2))),
-         "^poly_a0_b2 kernel is a zero matrix and cannot be normalized$"),
-        (lambda: normalize_kernel(KernelMatrix(np.ones((2, 2)), KernelSpec("gaussian", t=0.1))),
+        (lambda: normalize_kernel(np.zeros((3, 3)), KernelSpec("polynomial", a=0, b=2)),
+         "^poly_a0_b2 kernel is a zero matrix and cannot be normalized: the features are zero "
+         "or too small for it; rescale them$"),
+        (lambda: normalize_kernel(np.ones((2, 2)), KernelSpec("gaussian", t=0.1)),
          "^gaussian_t0.1 kernel with zero distance spread cannot be normalized$"),
+        # features and X X' are normal at 1e-150, but every (X X')^2 entry underflows to 0
+        (lambda: list(build_kernel_bank(1e-150 * two_blobs(n_per=4)[0], "clustering12")),
+         "^poly_a0_b2 kernel is a zero matrix and cannot be normalized: the features are zero "
+         "or too small for it; rescale them$"),
     ],
-    ids=["identical_samples", "negative_distance", "zero_matrix", "zero_spread"],
+    ids=["identical_samples", "negative_distance", "zero_matrix", "zero_spread", "underflow"],
 )
 def test_degenerate_kernel_errors_name_the_kernel(build, message):
     with pytest.raises(DegenerateKernelError, match=message):
@@ -169,66 +173,61 @@ def test_subnormal_features_are_rejected(scale):
     with pytest.raises(
         DegenerateKernelError, match=r"^linear kernel cannot be normalized: its scale \S+ is subnormal"
     ):
-        normalize_kernel(compute_kernel(scale * X, KernelSpec("linear")))
+        normalize_kernel(compute_kernel(scale * X, KernelSpec("linear")), KernelSpec("linear"))
 
 
 def test_normalize_rejects_a_subnormal_fallback_scale():
     # every induced distance is 0, so the largest |K| is the scale: the fallback
     # still holds at the smallest normal float, and is rejected just below it
     tiny = np.finfo(float).tiny
-    out = normalize_kernel(KernelMatrix(np.full((2, 2), tiny), KernelSpec("linear")))
-    assert out.fallback_used and np.all(out.values == 1.0)
+    K, fallback_used = normalize_kernel(np.full((2, 2), tiny), KernelSpec("linear"))
+    assert fallback_used and np.all(K == 1.0)
     with pytest.raises(
         DegenerateKernelError, match=r"^linear kernel cannot be normalized: its scale 1\.000e-310 is subnormal"
     ):
-        normalize_kernel(KernelMatrix(np.full((2, 2), 1e-310), KernelSpec("linear")))
+        normalize_kernel(np.full((2, 2), 1e-310), KernelSpec("linear"))
 
 
 def test_kernel_symmetry(rng):
     X = rng.standard_normal((10, 5))
     for spec in bank_specs("clustering12"):
-        km = compute_kernel(X, spec)
-        assert np.array_equal(km.values, km.values.T)
+        K = compute_kernel(X, spec)
+        assert np.array_equal(K, K.T)
 
 
 def test_normalize_identity_example():
-    km = KernelMatrix(values=np.eye(2), spec=KernelSpec("linear"))
-    out = normalize_kernel(km)
-    np.testing.assert_allclose(out.values, [[0.5, 0.0], [0.0, 0.5]])
-    assert abs(kernel_squared_distances(out.values).max() - 1.0) <= 1e-12
-    assert not out.fallback_used
+    K, fallback_used = normalize_kernel(np.eye(2), KernelSpec("linear"))
+    np.testing.assert_allclose(K, [[0.5, 0.0], [0.0, 0.5]])
+    assert abs(kernel_squared_distances(K).max() - 1.0) <= 1e-12
+    assert not fallback_used
 
 
 def test_normalize_fallback_all_identical():
-    km = KernelMatrix(values=np.ones((2, 2)), spec=KernelSpec("linear"))
-    out = normalize_kernel(km)
-    np.testing.assert_allclose(out.values, np.ones((2, 2)))
-    assert out.fallback_used
+    K, fallback_used = normalize_kernel(np.ones((2, 2)), KernelSpec("linear"))
+    np.testing.assert_allclose(K, np.ones((2, 2)))
+    assert fallback_used
 
 
 def test_normalize_zero_matrix_degenerate():
-    km = KernelMatrix(values=np.zeros((3, 3)), spec=KernelSpec("linear"))
     with pytest.raises(DegenerateKernelError):
-        normalize_kernel(km)
+        normalize_kernel(np.zeros((3, 3)), KernelSpec("linear"))
 
 
 def test_normalize_preserves_symmetry(rng):
     X = rng.standard_normal((9, 3))
-    km = compute_kernel(X, KernelSpec("polynomial", a=1, b=4))
-    out = normalize_kernel(km)
-    assert np.array_equal(out.values, out.values.T)
+    spec = KernelSpec("polynomial", a=1, b=4)
+    K, _ = normalize_kernel(compute_kernel(X, spec), spec)
+    assert np.array_equal(K, K.T)
 
 
 def test_normalize_idempotent_up_to_rounding(rng):
     # after one pass the largest induced squared distance is 1, so a
     # second pass changes entries by at most a few ulps
     X = rng.standard_normal((8, 2))
-    km = compute_kernel(X, KernelSpec("gaussian", t=0.1))
-    once = normalize_kernel(km)
-    twice = normalize_kernel(
-        KernelMatrix(values=once.values, spec=once.spec)
-    )
-    np.testing.assert_allclose(twice.values, once.values, rtol=1e-12)
+    spec = KernelSpec("gaussian", t=0.1)
+    once, _ = normalize_kernel(compute_kernel(X, spec), spec)
+    twice, _ = normalize_kernel(once, spec)
+    np.testing.assert_allclose(twice, once, rtol=1e-12)
 
 
 def test_negative_squared_distance_rejected():
@@ -240,12 +239,12 @@ def test_negative_squared_distance_rejected():
 
 def test_bank_sizes_and_flags():
     X, _ = two_blobs(n_per=6)
-    bank12 = build_kernel_bank(X, "clustering12")
-    bank7 = build_kernel_bank(X, "ssl7")
+    bank12 = list(build_kernel_bank(X, "clustering12"))
+    bank7 = list(build_kernel_bank(X, "ssl7"))
     assert len(bank12) == 12
     assert len(bank7) == 7
-    for km in bank12 + bank7:
-        assert abs(kernel_squared_distances(km.values).max() - 1.0) <= 1e-12
+    for _, K, _ in bank12 + bank7:
+        assert abs(kernel_squared_distances(K).max() - 1.0) <= 1e-12
 
 
 def test_bank_composition():

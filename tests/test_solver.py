@@ -652,7 +652,8 @@ def test_solve_reaches_reference_objective_on_wide_gaussians(t):
     rng = np.random.default_rng(0)
     y = np.repeat(np.arange(4), 10)
     X = rng.normal(size=(40, 10)) + 3.0 * y[:, None]
-    K = normalize_kernel(compute_kernel(X, KernelSpec("gaussian", t=t))).values
+    spec = KernelSpec("gaussian", t=t)
+    K, _ = normalize_kernel(compute_kernel(X, spec), spec)
     sol = solve(K, SolverConfig(regularizer="sparse"), trace_objective=False)
     got = evaluate_objective(K, sol.Z, 0.1, 0.1, "sparse")
     Zp = _pgd_reference(K, 0.1, 0.1, seed=0, iters=3000)
@@ -719,22 +720,22 @@ def test_diagnostics_dict_roundtrip(rng):
 def test_duplicate_samples_solve_and_cluster_to_n_labels(reg):
     # every sample twice; c = n must still give each sample its own label
     X = np.random.default_rng(0).standard_normal((3, 2))
-    for km in build_kernel_bank(np.vstack([X, X]), "ssl7"):
-        sol = solve(km.values, SolverConfig(regularizer=reg))
-        assert np.all(np.isfinite(sol.Z)), km.spec
-        assert np.all(np.diag(sol.Z) == 0.0), km.spec
+    for spec, K, _ in build_kernel_bank(np.vstack([X, X]), "ssl7"):
+        sol = solve(K, SolverConfig(regularizer=reg))
+        assert np.all(np.isfinite(sol.Z)), spec
+        assert np.all(np.diag(sol.Z) == 0.0), spec
         labels, _ = cluster(sol.Z, 6, seed=0)
-        assert len(set(labels.tolist())) == 6, km.spec
+        assert len(set(labels.tolist())) == 6, spec
 
 
 @pytest.mark.parametrize("reg", ["low_rank", "sparse"])
 def test_two_samples_solve_and_cluster(reg):
     X = np.random.default_rng(1).standard_normal((2, 3))
-    for km in build_kernel_bank(X, "clustering12"):
-        sol = solve(km.values, SolverConfig(regularizer=reg))
+    for spec, K, _ in build_kernel_bank(X, "clustering12"):
+        sol = solve(K, SolverConfig(regularizer=reg))
         assert sol.Z.shape == (2, 2)
-        assert np.all(np.isfinite(sol.Z)), km.spec
-        assert np.all(np.diag(sol.Z) == 0.0), km.spec
+        assert np.all(np.isfinite(sol.Z)), spec
+        assert np.all(np.diag(sol.Z) == 0.0), spec
         for c in (1, 2):
             labels, _ = cluster(sol.Z, c, seed=0)
-            assert len(set(labels.tolist())) == c, (km.spec, c)
+            assert len(set(labels.tolist())) == c, (spec, c)

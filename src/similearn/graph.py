@@ -3,14 +3,17 @@
 The learned Z is symmetrized into a nonnegative similarity graph
 S = (|Z| + |Z'|)/2, turned into the unnormalized Laplacian
 L = diag(rowsum(S)) - S, embedded by its c smallest eigenpairs (the only
-ones computed), and finished with k-means (k-means++ seeding, restarts),
-whose squared distances are summed in numpy as scipy's cdist sums them.
+ones computed, by LAPACK dsyevr as scipy's eigh computes them), and
+finished with k-means (k-means++ seeding, restarts), whose squared
+distances are summed in numpy as scipy's cdist sums them.
 """
 
+import ctypes
+
 import numpy as np
-from scipy.linalg import eigh
 
 from .kernels import _sqeuclidean
+from .solver import _CHAR, _DOUBLE, _INT, _PTR, _bind, cython_lapack
 
 # k-means restarts per call; each restart's Lloyd iteration cap and center-move tolerance
 _RESTARTS, _MAX_ITER, _TOL = 20, 300, 1e-6
@@ -50,12 +53,39 @@ def laplacian(S: np.ndarray) -> np.ndarray:
     return np.diag(degrees) - S
 
 
+# jobz range uplo n a lda vl vu il iu abstol m w z ldz isuppz work lwork iwork liwork info
+_DSYEVR = _bind(cython_lapack, "dsyevr", *[_CHAR] * 3, _INT, _PTR, _INT, *[_DOUBLE] * 2,
+                *[_INT] * 2, _DOUBLE, _INT, *[_PTR] * 2, _INT, *[_PTR] * 2, _INT, _PTR, *[_INT] * 2)
+
+
 def spectral_embed(L: np.ndarray, c: int) -> np.ndarray:
-    """n x c eigenvectors of the c smallest eigenvalues of a symmetric L."""
-    n = L.shape[0]
+    """n x c eigenvectors of the c smallest eigenvalues of a symmetric L.
+
+    dsyevr on L's lower triangle with the arguments and queried workspace of
+    scipy's eigh(L, subset_by_index=[0, c - 1]), so bit for bit eigh's result.
+    Raises ValueError on a non-square or non-finite L or a c out of range,
+    and numpy's LinAlgError (a ValueError) when dsyevr fails.
+    """
+    A = np.array(L, dtype=float, order="F")  # dsyevr overwrites it
+    if A.ndim != 2 or A.shape[0] != A.shape[1]:
+        raise ValueError(f"L must be square, got shape {A.shape}")
+    n = A.shape[0]
     if not 1 <= c <= n:
         raise ValueError(f"need 1 <= c <= n, got c={c}, n={n}")
-    return eigh(L, subset_by_index=[0, c - 1])[1]
+    if not np.isfinite(A).all():
+        raise ValueError("array must not contain infs or NaNs")
+    V, w, isuppz = np.empty((n, c), order="F"), np.empty(n), np.empty(2 * n, dtype=np.intc)
+    size, zero, m, info = ctypes.c_int(n), ctypes.c_double(0.0), ctypes.c_int(), ctypes.c_int()
+    head = (b"V", b"I", b"L", size, A.ctypes.data, size, zero, zero, ctypes.c_int(1),
+            ctypes.c_int(c), zero, m, w.ctypes.data, V.ctypes.data, size, isuppz.ctypes.data)
+    work, iwork = np.empty(1), np.empty(1, dtype=np.intc)
+    _DSYEVR(*head, work.ctypes.data, ctypes.c_int(-1), iwork.ctypes.data, ctypes.c_int(-1), info)
+    work, iwork = np.empty(int(work[0])), np.empty(iwork[0], dtype=np.intc)  # the optimal sizes
+    _DSYEVR(*head, work.ctypes.data, ctypes.c_int(len(work)), iwork.ctypes.data,
+            ctypes.c_int(len(iwork)), info)
+    if info.value != 0:
+        raise np.linalg.LinAlgError(f"spectral_embed: dsyevr failed with info = {info.value}")
+    return V
 
 
 def _kmeanspp(X, c, rng):

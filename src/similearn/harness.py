@@ -321,7 +321,11 @@ def run_experiment(config: ExperimentConfig):
                 ], None
             except Exception as e:
                 error = f"{type(e).__name__}: {e}"
-        return [ResultRow(**cell, converged=False)], dict(where, error=error)
+        groups = [(None, None)]
+        if config.task == "ssl":  # a failed row in every (gamma, fraction) group, as if scored
+            groups = itertools.product(config.gammas, config.fractions)
+        rows = [ResultRow(**cell, gamma=g, fraction=f, converged=False) for g, f in groups]
+        return rows, dict(where, error=error)
 
     # one BLAS thread per worker: the workers are the parallelism, and
     # multi-threaded OpenBLAS would change the last bits of Z

@@ -38,10 +38,14 @@ _GRAM_RATIO, or D D' overflows, the threshold falls back to the SVD.
 import ctypes
 import math
 import numbers
+import os
+import sys
 from dataclasses import dataclass
+from importlib.machinery import PathFinder
+from importlib.util import module_from_spec
 
 import numpy as np
-from scipy.linalg import cython_blas, cython_lapack
+import scipy
 
 from .errors import DivergenceError, LinearSolveError
 
@@ -148,8 +152,23 @@ def prox_nuclear(D, tau):
     return (U * np.maximum(s - tau, 0.0)) @ Vt
 
 
-# the dpotrf and dtrsm that scipy's Cython LAPACK and BLAS APIs export, with
-# Fortran's by-reference arguments, called through ctypes, which releases the GIL
+def _scipy_linalg_module(name):
+    """scipy.linalg's extension module ``name``, run (or reused) without its package.
+
+    The Cython BLAS and LAPACK modules link scipy's OpenBLAS themselves and
+    import only numpy and scipy internals, so scipy.linalg's __init__ need not run.
+    """
+    fullname = f"scipy.linalg.{name}"
+    if fullname not in sys.modules:
+        spec = PathFinder.find_spec(fullname, [os.path.join(scipy.__path__[0], "linalg")])
+        sys.modules[fullname] = module_from_spec(spec)
+        spec.loader.exec_module(sys.modules[fullname])
+    return sys.modules[fullname]
+
+
+# routines that scipy's Cython LAPACK and BLAS APIs export, with Fortran's
+# by-reference arguments, called through ctypes, which releases the GIL
+cython_blas, cython_lapack = map(_scipy_linalg_module, ("cython_blas", "cython_lapack"))
 _INT, _PTR, _OBJ = ctypes.POINTER(ctypes.c_int), ctypes.c_void_p, ctypes.py_object
 _CHAR, _DOUBLE = ctypes.c_char_p, ctypes.POINTER(ctypes.c_double)
 _capsule_name = ctypes.PYFUNCTYPE(_CHAR, _OBJ)(("PyCapsule_GetName", ctypes.pythonapi))

@@ -1,6 +1,10 @@
 import numpy as np
 import pytest
+import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from similearn import graph
 from similearn.graph import (
     build_graph,
     cluster,
@@ -168,6 +172,46 @@ def test_spectral_embed_rejects_bad_c():
         spectral_embed(L, 0)
     with pytest.raises(ValueError):
         spectral_embed(L, 5)
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(1, 80), data=st.data(), seed=st.integers(0, 2**32 - 1),
+       density=st.floats(0.0, 1.0))
+def test_spectral_embed_is_bitwise_scipy_eigh(n, data, seed, density):
+    c = data.draw(st.integers(1, min(n, 8)))
+    rng = np.random.default_rng(seed)
+    Z = rng.random((n, n)) * (rng.random((n, n)) < density)  # empty to dense graphs
+    L = laplacian(build_graph(Z))
+    V = spectral_embed(L, c)
+    expected = scipy.linalg.eigh(L, subset_by_index=[0, c - 1])[1]
+    assert V.shape == expected.shape
+    assert V.tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_spectral_embed_rejects_non_finite_l(bad):
+    L = np.eye(4)
+    L[3, 0] = bad  # in the lower triangle, the one dsyevr reads
+    with pytest.raises(ValueError, match="^array must not contain infs or NaNs$"):
+        spectral_embed(L, 2)
+
+
+def test_spectral_embed_rejects_a_non_square_l():
+    with pytest.raises(ValueError, match=r"^L must be square, got shape \(3, 4\)$"):
+        spectral_embed(np.zeros((3, 4)), 1)
+
+
+def test_spectral_embed_raises_linalgerror_when_dsyevr_fails(monkeypatch):
+    dsyevr = graph._DSYEVR
+
+    def fails(*args):  # runs the real routine, then reports failure through info
+        dsyevr(*args)
+        args[-1].value = 2
+
+    monkeypatch.setattr(graph, "_DSYEVR", fails)
+    with pytest.raises(np.linalg.LinAlgError, match="dsyevr failed with info = 2"):
+        spectral_embed(np.eye(3), 1)
+    assert issubclass(np.linalg.LinAlgError, ValueError)  # the CLI reports it, exit 2
 
 
 def test_kmeans_separated_groups(rng):

@@ -429,6 +429,42 @@ def test_failed_kernels_recorded_not_fatal(tmp_path):
     assert mean.acc == float(np.mean([r.acc for r in ran]))
 
 
+def test_failed_ssl_cells_have_a_row_in_every_group(tmp_path):
+    # identical samples: the 4 gaussian kernels of ssl7 fail, the other 3 run
+    fp, lp = tmp_path / "x.csv", tmp_path / "y.csv"
+    write_matrix(fp, np.ones((6, 2)))
+    write_labels(lp, [0, 0, 0, 1, 1, 1])
+    cfg = ExperimentConfig(
+        task="ssl",
+        dataset=str(fp),
+        labels=str(lp),
+        out_dir=str(tmp_path / "out"),
+        regularizers=("sparse",),
+        gammas=(1.0, 2.0),
+        fractions=(0.5,),
+        repeats=2,
+        max_iter=5,
+    ).validate()
+    rows, info = run_experiment(cfg)
+    assert info["n_cells"] == 7
+    assert info["n_failed"] == len(info["failures"]) == 4  # one entry per cell, not per row
+    assert all("gaussian" in f["kernel"] for f in info["failures"])
+    for gamma in (1.0, 2.0):
+        group = [r for r in rows if r.gamma == gamma]
+        assert all(r.fraction == 0.5 for r in group)
+        cells = [r for r in group if r.kernel not in (BEST_KERNEL, MEAN_KERNEL)]
+        assert [r.kernel for r in cells] == [spec.name for spec in bank_specs("ssl7")]
+        failed = [r for r in cells if "gaussian" in r.kernel]
+        assert len(failed) == 4
+        assert all(r.acc is r.acc_std is None and r.converged is False for r in failed)
+        ran = [r for r in cells if "gaussian" not in r.kernel]
+        assert all(r.acc is not None for r in ran)
+        # the group's summary rows follow its cells and cover the 3 kernels that ran
+        assert [r.kernel for r in group[len(cells):]] == [BEST_KERNEL, MEAN_KERNEL]
+        assert group[-1].acc == float(np.mean([r.acc for r in ran]))
+    assert all(r.gamma is not None for r in rows)
+
+
 def test_overflowing_kernels_recorded_as_failures(tmp_path):
     # features at 1e100: the four polynomial kernels overflow, the rest run
     fp, lp = write_blob_files(tmp_path)

@@ -1,6 +1,9 @@
+import os
 import re
+import subprocess
 import sys
 from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -328,6 +331,41 @@ def test_solve_spd_is_bitwise_scipy_dpotrf_dtrsm(case):
     X = _solve_spd(A, B, shift, "W update")
     assert _bits(X) == _bits(f2py_spd_solve(A + shift * np.eye(len(A)), B))
     assert _bits(A) == _bits(A0) and _bits(B) == _bits(B0)
+
+
+# one solve's Z, printed as hex bits; with argument "reuse", scipy.linalg is
+# imported after similearn, and its Cython modules must be the ones similearn ran
+REUSE_PROBE = """
+import sys
+
+import numpy as np
+
+import similearn.cli
+from similearn import solver
+
+if sys.argv[1:] == ["reuse"]:
+    import scipy.linalg
+    from scipy.linalg import cython_blas, cython_lapack
+
+    assert (cython_blas, cython_lapack) == (solver.cython_blas, solver.cython_lapack)
+    assert sys.modules["scipy.linalg.cython_lapack"] is solver.cython_lapack
+    assert scipy.linalg.eigh(np.eye(2))[0].tolist() == [1.0, 1.0]
+X = np.random.default_rng(0).standard_normal((30, 4))
+config = solver.SolverConfig(regularizer="low_rank", alpha=0.1, beta=0.1, max_iter=20)
+print(solver.solve(X @ X.T / 4, config, trace_objective=False).Z.tobytes().hex())
+"""
+
+
+def test_scipy_linalg_imported_later_reuses_the_cython_modules():
+    src = Path(solver_module.__file__).resolve().parents[1]
+    runs = [
+        subprocess.run([sys.executable, "-c", REUSE_PROBE, *argv], capture_output=True,
+                       text=True, env=dict(os.environ, PYTHONPATH=str(src)))
+        for argv in ([], ["reuse"])
+    ]
+    assert [(run.returncode, run.stderr) for run in runs] == [(0, "")] * 2
+    fresh, reuse = (run.stdout for run in runs)
+    assert len(fresh) == 2 * 8 * 30 * 30 + 1 and fresh == reuse
 
 
 def test_solve_spd_not_positive_definite_names_step_and_cond():

@@ -55,7 +55,8 @@ class ResultRow:
 
     Metric fields are None when they do not apply (no ground truth
     metric for a failed cell, no NMI for label propagation, no std
-    without repeats).
+    without repeats). objective is the solve's final objective, None on
+    summary rows and failed cells.
     """
 
     dataset: str
@@ -71,6 +72,7 @@ class ResultRow:
     nmi_std: Optional[float] = None
     converged: Optional[bool] = None
     iterations: Optional[int] = None
+    objective: Optional[float] = None
 
 
 CSV_COLUMNS = tuple(f.name for f in fields(ResultRow))
@@ -312,10 +314,11 @@ def run_experiment(config: ExperimentConfig):
         if error is None:
             try:
                 cfg = config.solver_config(reg, alpha, beta)
-                sol = solve(K, cfg, trace_objective=False)
+                sol = solve(K, cfg)
                 if config.save_z:
                     write_matrix(_z_path(out_dir, spec.name, reg, alpha, beta), sol.Z)
-                end = dict(converged=sol.converged, iterations=sol.iterations)
+                end = dict(converged=sol.converged, iterations=sol.iterations,
+                           objective=sol.objective)
                 return [
                     ResultRow(**cell, **m, **end) for m in metrics(sol.Z, labels, c, config)
                 ], None

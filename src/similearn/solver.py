@@ -108,10 +108,10 @@ class Solution:
     """The learned Z and how the solve that produced it ended.
 
     Z has a zero diagonal. residuals[k] holds (||J-Z||_F, ||W-Z||_F,
-    ||H-Z||_F) after iteration k's Z update; objective[k] the full
-    objective at that Z, or objective is empty when solve ran with
-    trace_objective=False. rel_change is the relative change of Z in the
-    last iteration.
+    ||H-Z||_F) after iteration k's Z update. objective is the full
+    objective, evaluate_objective(K, Z, alpha, beta, regularizer), at the
+    returned Z. rel_change is the relative change of Z in the last
+    iteration.
     """
 
     Z: np.ndarray
@@ -119,7 +119,7 @@ class Solution:
     iterations: int
     rel_change: float
     residuals: list
-    objective: list
+    objective: float
 
 
 def prox_l1(D, tau):
@@ -157,13 +157,17 @@ def _scipy_linalg_module(name):
 
     The Cython BLAS and LAPACK modules link scipy's OpenBLAS themselves and
     import only numpy and scipy internals, so scipy.linalg's __init__ need not run.
+    The entry their init puts in sys.modules is dropped, so a later import binds
+    them to the scipy.linalg package; Cython gives it the same module objects.
     """
     fullname = f"scipy.linalg.{name}"
-    if fullname not in sys.modules:
-        spec = PathFinder.find_spec(fullname, [os.path.join(scipy.__path__[0], "linalg")])
-        sys.modules[fullname] = module_from_spec(spec)
-        spec.loader.exec_module(sys.modules[fullname])
-    return sys.modules[fullname]
+    if fullname in sys.modules:
+        return sys.modules[fullname]
+    spec = PathFinder.find_spec(fullname, [os.path.join(scipy.__path__[0], "linalg")])
+    module = module_from_spec(spec)
+    spec.loader.exec_module(module)
+    sys.modules.pop(fullname, None)
+    return module
 
 
 # routines that scipy's Cython LAPACK and BLAS APIs export, with Fortran's
@@ -195,10 +199,11 @@ def _solve_spd(A, B, shift, what, message="{what}: left-hand side is not positiv
     copy of B, whose buffer is X' in Fortran order; with n right-hand
     sides OpenBLAS runs them faster than dposv's left-side ones (1.7x at
     n = 100). The calls release the GIL, so W and H steps on a thread pool
-    overlap. Neither routine looks for NaN or inf, so callers pass finite
-    A and B; only shapes are checked here. When A + shift I is not
-    positive definite, LinearSolveError(message) is raised with {what}
-    and {cond}, its condition number, filled in.
+    overlap. dpotrf does not look for NaN or inf, so it never sees a
+    non-finite A + shift I: X is then all NaN. A non-finite B gives a
+    non-finite X too; callers check X. When A + shift I is not positive
+    definite, LinearSolveError(message) is raised with {what} and {cond},
+    its condition number, filled in.
     """
     A, X = np.asarray(A, dtype=float), np.array(B, dtype=float, order="C")  # X: overwritten
     if X.ndim != 2 or A.shape != (len(X), len(X)):  # dpotrf reads n x n, dtrsm n x nrhs
@@ -206,6 +211,8 @@ def _solve_spd(A, B, shift, what, message="{what}: left-hand side is not positiv
     factor = np.array(A, order="F")  # copy, then add in place: np.add into an F-order
     factor += 0.0  # buffer is 2-3x slower
     factor.reshape(-1, order="F")[:: len(X) + 1] += shift  # a view: the diagonal
+    if not (math.isfinite(factor.min()) and math.isfinite(factor.max())):  # NaN makes both NaN
+        return np.full_like(X, np.nan)
     n, info = ctypes.c_int(X.shape[0]), ctypes.c_int()
     _DPOTRF(b"U", n, factor.ctypes.data, n, info)
     if info.value > 0:
@@ -299,32 +306,16 @@ def _check_finite(M, name, iteration):
         )
 
 
-def solve(K, config: SolverConfig, *, trace_objective=True):
-    """Run ADMM to convergence or the iteration cap.
+def solve(K, config: SolverConfig):
+    """Run ADMM on the symmetric n x n kernel K (normalized or not) to
+    convergence or the iteration cap; return the Solution.
 
-    Parameters
-    ----------
-    K : ndarray of shape (n, n)
-        Symmetric kernel matrix (normalized or not).
-    config : SolverConfig
-    trace_objective : bool
-        Record the full objective after every iteration in
-        ``objective``. It costs a pass over Z per iteration (an SVD for
-        ``low_rank``) and changes nothing else; when False, ``objective``
-        stays empty.
-
-    Returns
-    -------
-    Solution
-        The learned Z (zero diagonal) and how the solve ended.
-
-    Notes
-    -----
     P = (K + mu I)^-1 is formed once, by one _solve_spd call. Each J
     step is one product with P, and Z and H start at the least-squares
     representation P K = I - mu P with the diagonal zeroed. Multipliers
     start at zero, and J and W come from their first updates.
     Convergence is declared when the relative change of Z drops below tol.
+    The objective is evaluated once, at the returned Z.
     """
     config.validate()
     K = np.asarray(K, dtype=float)
@@ -337,52 +328,52 @@ def solve(K, config: SolverConfig, *, trace_objective=True):
         raise ValueError("kernel must be symmetric")
 
     mu, alpha, beta = config.mu, config.alpha, config.beta
-    P = _solve_spd(  # (K + mu I)^-1
-        K, np.eye(n), mu, "K + mu I",
-        "K + mu I is not positive definite; mu must exceed the most "
-        "negative kernel eigenvalue (cond ~ {cond})",
-    )
-    Z = -mu * P  # off the diagonal, (K + mu I)^-1 K = I - mu P is -mu P
-    np.fill_diagonal(Z, 0.0)
-    H = Z
-    Y = [np.zeros((n, n)) for _ in range(3)]  # the multipliers Y1, Y2, Y3
+    # an overflow ends in a DivergenceError naming the step; numpy's warning would repeat it
+    with np.errstate(over="ignore", invalid="ignore"):
+        P = _solve_spd(  # (K + mu I)^-1
+            K, np.eye(n), mu, "K + mu I",
+            "K + mu I is not positive definite; mu must exceed the most "
+            "negative kernel eigenvalue (cond ~ {cond})",
+        )
+        Z = -mu * P  # off the diagonal, (K + mu I)^-1 K = I - mu P is -mu P
+        np.fill_diagonal(Z, 0.0)
+        H = Z
+        Y = [np.zeros((n, n)) for _ in range(3)]  # the multipliers Y1, Y2, Y3
 
-    residuals, objective = [], []
-    z_norm = np.linalg.norm(Z, "fro")
-    for it in range(1, config.max_iter + 1):
-        J = update_j(K, Z, Y[0], mu, P)
-        _check_finite(J, "J", it)
-        W = update_w(K, H, Z, Y[1], mu, alpha)
-        _check_finite(W, "W", it)
-        H = update_h(K, W, Z, Y[2], mu, alpha)
-        _check_finite(H, "H", it)
+        residuals = []
+        z_norm = np.linalg.norm(Z, "fro")
+        for it in range(1, config.max_iter + 1):
+            J = update_j(K, Z, Y[0], mu, P)
+            _check_finite(J, "J", it)
+            W = update_w(K, H, Z, Y[1], mu, alpha)
+            _check_finite(W, "W", it)
+            H = update_h(K, W, Z, Y[2], mu, alpha)
+            _check_finite(H, "H", it)
 
-        Z_prev = Z
-        Z = update_z(J, W, H, *Y, mu, beta, config.regularizer)
-        _check_finite(Z, "Z", it)
+            Z_prev = Z
+            Z = update_z(J, W, H, *Y, mu, beta, config.regularizer)
+            _check_finite(Z, "Z", it)
 
-        # each split difference R feeds its multiplier and its residual norm;
-        # one R at a time, dropped after, so the loop holds no extra n x n array
-        res = []
-        for i, X in enumerate((J, W, H)):
-            R = X - Z
-            Y[i] = Y[i] + mu * R
-            res.append(float(np.linalg.norm(R, "fro")))
-        del R
-        residuals.append(tuple(res))
+            # each split difference R feeds its multiplier and its residual norm;
+            # one R at a time, dropped after, so the loop holds no extra n x n array
+            res = []
+            for i, X in enumerate((J, W, H)):
+                R = X - Z
+                Y[i] = Y[i] + mu * R
+                res.append(float(np.linalg.norm(R, "fro")))
+            del R
+            residuals.append(tuple(res))
 
-        # ||Z||_F is carried into the next iteration as its ||Z_prev||_F
-        z_prev_norm, z_norm = z_norm, np.linalg.norm(Z, "fro")
-        rel = np.linalg.norm(Z - Z_prev, "fro") / max(z_prev_norm, 1e-12)
-        if trace_objective:
-            objective.append(
-                float(evaluate_objective(K, Z, alpha, beta, config.regularizer))
-            )
-        converged = bool(rel < config.tol)
-        if converged:
-            break
+            # ||Z||_F is carried into the next iteration as its ||Z_prev||_F
+            z_prev_norm, z_norm = z_norm, np.linalg.norm(Z, "fro")
+            rel = np.linalg.norm(Z - Z_prev, "fro") / max(z_prev_norm, 1e-12)
+            converged = bool(rel < config.tol)
+            if converged:
+                break
+        # config.validate() guarantees max_iter >= 1, so the loop ran at least once
+        objective = float(evaluate_objective(K, Z, alpha, beta, config.regularizer))
+    _check_finite(objective, "objective", it)
 
-    # config.validate() guarantees max_iter >= 1, so the loop ran at least once
     return Solution(
         Z=Z,
         converged=converged,
@@ -401,5 +392,5 @@ def diagnostics_dict(solution: Solution):
         "iterations": solution.iterations,
         "final_rel_change": solution.rel_change,
         "residuals": [list(r) for r in solution.residuals],
-        "objective": list(solution.objective),
+        "objective": solution.objective,
     }

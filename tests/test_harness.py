@@ -32,8 +32,9 @@ from similearn.harness import (
     run_experiment,
 )
 from similearn.io import read_matrix, write_labels, write_matrix
-from similearn.kernels import bank_specs
+from similearn.kernels import bank_specs, compute_kernel, normalize_kernel
 from similearn.metrics import accuracy
+from similearn.solver import evaluate_objective
 
 
 def write_blob_files(tmp_path, n_per=4, seed=0):
@@ -337,13 +338,37 @@ def test_default_workers_fall_back_to_cpu_count(tmp_path, monkeypatch):
 
 
 def test_grid_cells_skip_the_objective_trace(tmp_path, monkeypatch):
-    def fail(*args, **kwargs):
-        raise AssertionError("evaluate_objective called")
+    """Each solved cell evaluates the objective once, and its row reports that value."""
+    real, calls = solver.evaluate_objective, []
 
-    monkeypatch.setattr(solver, "evaluate_objective", fail)
-    _, info = run_experiment(small_config(tmp_path))
-    assert info["n_cells"] == 24
-    assert info["n_failed"] == 0
+    def record(K, Z, alpha, beta, regularizer):
+        calls.append((regularizer, real(K, Z, alpha, beta, regularizer)))
+        return calls[-1][1]
+
+    monkeypatch.setattr(solver, "evaluate_objective", record)
+    monkeypatch.setenv("SIMILEARN_WORKERS", "1")  # calls in job order: bank order per regularizer
+    rows, info = run_experiment(small_config(tmp_path))
+    assert (info["n_cells"], info["n_failed"], len(calls)) == (24, 0, 24)
+    cells = [r for r in rows if r.kernel not in (BEST_KERNEL, MEAN_KERNEL)]
+    for reg in ("low_rank", "sparse"):
+        assert [r.objective for r in cells if r.regularizer == reg] == [
+            value for r, value in calls if r == reg
+        ]
+
+
+def test_save_z_rows_report_the_objective_of_their_z(tmp_path):
+    cfg = small_config(tmp_path, save_z=True)
+    rows, _ = run_experiment(cfg)
+    X, _, _ = load_dataset(cfg.dataset)
+    kernels = {spec.name: normalize_kernel(compute_kernel(X, spec), spec)[0]
+               for spec in bank_specs(cfg.bank)}
+    for row, line in zip(rows, rows_to_csv(rows).splitlines()[1:]):
+        if row.kernel in (BEST_KERNEL, MEAN_KERNEL):
+            assert row.objective is None and line.endswith(",")
+            continue
+        Z = read_matrix(tmp_path / "out" / f"z_{row.kernel}_{row.regularizer}_a0.1_b0.1.csv")
+        want = evaluate_objective(kernels[row.kernel], Z, 0.1, 0.1, row.regularizer)
+        assert row.objective == want and line.endswith("," + repr(float(want)))
 
 
 def test_save_z_roundtrip(tmp_path):

@@ -349,10 +349,13 @@ if sys.argv[1:] == ["reuse"]:
 
     assert (cython_blas, cython_lapack) == (solver.cython_blas, solver.cython_lapack)
     assert sys.modules["scipy.linalg.cython_lapack"] is solver.cython_lapack
+    import scipy.linalg.cython_lapack
+
+    assert scipy.linalg.cython_lapack is solver.cython_lapack
     assert scipy.linalg.eigh(np.eye(2))[0].tolist() == [1.0, 1.0]
 X = np.random.default_rng(0).standard_normal((30, 4))
 config = solver.SolverConfig(regularizer="low_rank", alpha=0.1, beta=0.1, max_iter=20)
-print(solver.solve(X @ X.T / 4, config, trace_objective=False).Z.tobytes().hex())
+print(solver.solve(X @ X.T / 4, config).Z.tobytes().hex())
 """
 
 
@@ -383,6 +386,16 @@ def test_solve_spd_raises_on_an_illegal_argument(monkeypatch):
     monkeypatch.setattr(solver_module, "_DPOTRF", rejects_lda)
     with pytest.raises(LinearSolveError, match="W update: dpotrf rejected its argument 4"):
         _solve_spd(np.eye(3), np.eye(3), 1.0, "W update")
+
+
+def test_solve_spd_hands_dpotrf_no_non_finite_matrix(monkeypatch):
+    def called(*args):
+        raise AssertionError("dpotrf called")
+
+    monkeypatch.setattr(solver_module, "_DPOTRF", called)
+    for A in (np.diag([1.0, np.inf]), np.diag([np.nan, 1.0])):
+        X = _solve_spd(A, np.ones((2, 3)), 1.0, "W update")
+        assert X.shape == (2, 3) and np.isnan(X).all()
 
 
 def test_solve_spd_rejects_shapes_that_do_not_form_a_system():
@@ -509,30 +522,17 @@ def test_solve_zero_diagonal_and_shapes(rng):
     assert sol.Z.shape == (10, 10)
     assert np.all(np.isfinite(sol.Z))
     assert len(sol.residuals) == sol.iterations
-    assert len(sol.objective) == sol.iterations
+    assert sol.objective == evaluate_objective(K, sol.Z, 0.1, 0.1, "sparse")
 
 
-@pytest.mark.parametrize("reg", ["low_rank", "sparse"])
-def test_solve_without_objective_trace_is_otherwise_identical(rng, reg):
-    K = random_psd_kernel(8, rng)
-    cfg = SolverConfig(regularizer=reg, max_iter=40)
-    a = solve(K, cfg)
-    b = solve(K, cfg, trace_objective=False)
-    assert np.array_equal(a.Z, b.Z)
-    assert (a.iterations, a.converged) == (b.iterations, b.converged)
-    assert a.residuals == b.residuals
-    assert a.rel_change == b.rel_change
-    assert len(a.objective) == a.iterations
-    assert b.objective == []
-
-
-def _reference_solve(K, config, trace_objective=True):
+def _reference_solve(K, config):
     """The solve loop as it stood with a separate multiplier step; solve must equal it.
 
     It recomputes J - Z, W - Z and H - Z for the residual norms and takes
     ||Z_prev||_F afresh each iteration. It starts, as solve does, from
     the least-squares representation and takes J from one inverse.
-    Returns (Z, residuals, objective, rel_change, iterations, converged).
+    Returns (Z, residuals, objective at the final Z, rel_change,
+    iterations, converged).
     """
     n = K.shape[0]
     mu, alpha, beta, reg = config.mu, config.alpha, config.beta, config.regularizer
@@ -541,7 +541,7 @@ def _reference_solve(K, config, trace_objective=True):
     np.fill_diagonal(Z, 0.0)
     H = Z
     Y1, Y2, Y3 = np.zeros((n, n)), np.zeros((n, n)), np.zeros((n, n))
-    residuals, objective = [], []
+    residuals = []
     rel, converged, it = np.inf, False, 0
 
     def check(M, name):
@@ -567,22 +567,20 @@ def _reference_solve(K, config, trace_objective=True):
                 float(np.linalg.norm(H - Z, "fro")),
             )
         )
-        if trace_objective:
-            objective.append(float(evaluate_objective(K, Z, alpha, beta, reg)))
         if rel < config.tol:
             converged = True
             break
+    objective = float(evaluate_objective(K, Z, alpha, beta, reg))
     return Z, residuals, objective, float(rel), it, converged
 
 
-@pytest.mark.parametrize("trace", [True, False])
 @pytest.mark.parametrize("reg", ["low_rank", "sparse"])
 @pytest.mark.parametrize("max_iter, tol", [(15, 1e-5), (300, 1e-3)], ids=["capped", "converging"])
-def test_solve_matches_reference_loop(rng, reg, trace, max_iter, tol):
+def test_solve_matches_reference_loop(rng, reg, max_iter, tol):
     K = random_psd_kernel(12, rng)
     cfg = SolverConfig(regularizer=reg, max_iter=max_iter, tol=tol)
-    sol = solve(K, cfg, trace_objective=trace)
-    Z, residuals, objective, rel, iterations, converged = _reference_solve(K, cfg, trace)
+    sol = solve(K, cfg)
+    Z, residuals, objective, rel, iterations, converged = _reference_solve(K, cfg)
     assert converged == (max_iter == 300)
     assert sol.Z.tobytes() == Z.tobytes()
     assert sol.residuals == residuals
@@ -692,11 +690,18 @@ def test_solve_reaches_reference_objective_on_wide_gaussians(t):
     X = rng.normal(size=(40, 10)) + 3.0 * y[:, None]
     spec = KernelSpec("gaussian", t=t)
     K, _ = normalize_kernel(compute_kernel(X, spec), spec)
-    sol = solve(K, SolverConfig(regularizer="sparse"), trace_objective=False)
+    sol = solve(K, SolverConfig(regularizer="sparse"))
     got = evaluate_objective(K, sol.Z, 0.1, 0.1, "sparse")
     Zp = _pgd_reference(K, 0.1, 0.1, seed=0, iters=3000)
     want = evaluate_objective(K, Zp, 0.1, 0.1, "sparse")
     assert got <= 1.01 * want, (got, want)
+
+
+@pytest.mark.parametrize("reg", ["low_rank", "sparse"])
+def test_solve_whose_objective_overflows_raises_divergence(reg):
+    # Z = 0 after one iteration, where ||K - Z'KZ||_F^2 is beyond the float range
+    with pytest.raises(DivergenceError, match="^objective became non-finite at iteration 1$"):
+        solve(np.diag([1e160, 1e160]), SolverConfig(regularizer=reg))
 
 
 def test_solve_rejects_bad_kernels():
@@ -749,6 +754,7 @@ def test_diagnostics_dict_roundtrip(rng):
     }
     assert len(d["residuals"]) == d["iterations"]
     assert all(len(r) == 3 for r in d["residuals"])
+    assert d["objective"] == evaluate_objective(K, sol.Z, 0.1, 0.1, "sparse")
 
 
 # -------------------------------------------------------- edge inputs

@@ -574,12 +574,14 @@ def _reference_solve(K, config):
     return Z, residuals, objective, float(rel), it, converged
 
 
+@pytest.mark.parametrize("fortran", [True, False])
 @pytest.mark.parametrize("reg", ["low_rank", "sparse"])
 @pytest.mark.parametrize("max_iter, tol", [(15, 1e-5), (300, 1e-3)], ids=["capped", "converging"])
-def test_solve_matches_reference_loop(rng, reg, max_iter, tol):
+def test_solve_matches_reference_loop(rng, reg, fortran, max_iter, tol):
+    # the kernel's memory order must not change a byte of what solve returns
     K = random_psd_kernel(12, rng)
     cfg = SolverConfig(regularizer=reg, max_iter=max_iter, tol=tol)
-    sol = solve(K, cfg)
+    sol = solve(np.asfortranarray(K) if fortran else K, cfg)
     Z, residuals, objective, rel, iterations, converged = _reference_solve(K, cfg)
     assert converged == (max_iter == 300)
     assert sol.Z.tobytes() == Z.tobytes()

@@ -109,16 +109,18 @@ def _kmeanspp(X, c, rng):
 def _assign(X, centers):
     """Nearest-center assignment with empty-cluster repair.
 
-    An empty cluster steals the point currently farthest from its own
-    center, which can only lower the objective. Returns (assignments,
-    inertia, possibly-updated centers).
+    An empty cluster steals the point farthest from its own center among
+    those not alone in their cluster: that can only lower the objective and
+    empties no other cluster, even when every distance is 0. Returns
+    (assignments, inertia, possibly-updated centers).
     """
-    n = X.shape[0]
+    n, c = X.shape[0], centers.shape[0]
     d2 = _sqeuclidean(X, centers)
     assign = d2.argmin(axis=1)
-    for k in range(centers.shape[0]):
+    for k in range(c):
         if not np.any(assign == k):
-            far = d2[np.arange(n), assign].argmax()
+            shared = np.bincount(assign, minlength=c)[assign] > 1
+            far = np.where(shared, d2[np.arange(n), assign], -np.inf).argmax()
             centers[k] = X[far]
             assign[far] = k
             d2[:, k] = ((X - centers[k]) ** 2).sum(axis=1)

@@ -11,11 +11,12 @@ selection protocol for comparing methods, not a deployable
 model-selection rule.
 
 All randomness flows from the single configured seed; reruns with an
-equal config produce byte-identical CSV output. Cells run on a thread
-pool sized by the SIMILEARN_WORKERS environment variable (default: the
-usable CPUs), which holds OpenBLAS to one thread per worker while it
-runs; rows keep job order within canonically sorted groups, so worker
-count, completion order and thread variables never change the output.
+equal config produce byte-identical CSV output. Each kernel is one job
+of a thread pool sized by the SIMILEARN_WORKERS environment variable
+(default: the usable CPUs): the job builds the kernel and runs its cells.
+The pool holds OpenBLAS to one thread per worker while it runs; rows keep
+job order within canonically sorted groups, so worker count, completion
+order and thread variables never change the output.
 """
 
 import contextlib
@@ -288,27 +289,21 @@ def run_experiment(config: ExperimentConfig):
     out_dir.mkdir(parents=True, exist_ok=True)
     metrics = _clustering_metrics if config.task == "clustering" else _ssl_metrics
     X, labels, c = load_dataset(config.dataset, config.labels)
-    # not build_kernel_bank, whose first failing kernel would end the bank: a
-    # kernel that cannot be built is the error of each of its cells. Only the
-    # message is kept, so the failed build's arrays are not held by a traceback
-    kernels = []
-    for spec in bank_specs(config.bank):
-        try:
-            kernels.append((spec, normalize_kernel(compute_kernel(X, spec), spec)[0], None))
-        except Exception as e:
-            kernels.append((spec, None, f"{type(e).__name__}: {e}"))
-
     dataset_name = Path(config.dataset).stem
-    jobs = [
-        (spec, K, error, reg, alpha, beta)
-        for spec, K, error in kernels
-        for reg in config.regularizers
-        for alpha in config.alphas
-        for beta in config.betas
-    ]
 
-    def run_cell(job):
-        spec, K, error, reg, alpha, beta = job
+    def run_kernel(spec):
+        """One pool job: build spec's kernel, run its cells in order, drop K on return."""
+        # not build_kernel_bank, whose first failing kernel would end the bank: a
+        # kernel that cannot be built is the error of each of its cells. Only the
+        # message is kept, so the failed build's arrays are not held by a traceback
+        try:
+            K, error = normalize_kernel(compute_kernel(X, spec), spec)[0], None
+        except Exception as e:
+            K, error = None, f"{type(e).__name__}: {e}"
+        cells = itertools.product(config.regularizers, config.alphas, config.betas)
+        return [run_cell(spec, K, error, *cell) for cell in cells]
+
+    def run_cell(spec, K, error, reg, alpha, beta):
         where = dict(kernel=spec.name, regularizer=reg, alpha=alpha, beta=beta)
         cell = dict(where, dataset=dataset_name)
         if error is None:
@@ -330,15 +325,16 @@ def run_experiment(config: ExperimentConfig):
         rows = [ResultRow(**cell, gamma=g, fraction=f, converged=False) for g, f in groups]
         return rows, dict(where, error=error)
 
-    # one BLAS thread per worker: the workers are the parallelism, and
-    # multi-threaded OpenBLAS would change the last bits of Z
+    # at most `workers` kernels are held at once; one BLAS thread per worker:
+    # the workers are the parallelism, and multi-threaded OpenBLAS would
+    # change the last bits of Z
     with _single_threaded_blas() as blas:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(run_cell, jobs))
+            results = [r for job in pool.map(run_kernel, bank_specs(config.bank)) for r in job]
 
     rows = _summarize([row for cell_rows, _ in results for row in cell_rows])
     failures = [failure for _, failure in results if failure is not None]
-    info = {"n_cells": len(jobs), "n_failed": len(failures), "failures": failures}
+    info = {"n_cells": len(results), "n_failed": len(failures), "failures": failures}
     info.update(workers=workers, cpus=cpus, blas_threads=blas, python=platform.python_version(),
                 numpy=np.__version__, scipy=scipy.__version__)
     return rows, info

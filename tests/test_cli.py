@@ -7,6 +7,7 @@ import subprocess
 import sys
 import tempfile
 import tracemalloc
+import warnings
 from dataclasses import fields
 from pathlib import Path
 
@@ -20,6 +21,7 @@ from similearn import cli, harness
 from similearn.cli import build_parser, main
 from similearn.io import read_matrix, write_labels, write_matrix
 from similearn.kernels import bank_specs, build_kernel_bank, compute_kernel, normalize_kernel
+from similearn.semisupervised import DEFAULT_REPEATS
 from similearn.solver import SolverConfig, diagnostics_dict, evaluate_objective, solve
 
 # the directory the package is imported from, for fresh interpreters
@@ -657,3 +659,74 @@ def test_learn_fuzz_exits_cleanly(K, reg, flags):
         diagnostics = json.loads((Path(tmp) / "z.diagnostics.json").read_text())
         want = evaluate_objective(read_matrix(kp), Z, args.alpha, args.beta, args.regularizer)
         assert diagnostics["objective"] == want
+
+
+@st.composite
+def _z_matrices(draw):
+    """1-8 rows, square or not: zero, subnormal, ordinary or near the float limit."""
+    n = draw(st.integers(1, 8))
+    m = draw(st.sampled_from([n, n, draw(st.integers(1, 8))]))
+    B = np.array(draw(st.lists(st.floats(-9.99, 9.99), min_size=n * m, max_size=n * m)))
+    return B.reshape(n, m) * draw(st.sampled_from([0.0, 5e-324, 1e-310, 1.0, 1e300, 1e307]))
+
+
+def _label_lists(n):
+    """Near n labels (gaps, negative ids, one too few or too many): one id per line."""
+    return st.sampled_from([0, 0, -1, 1]).flatmap(lambda extra: st.lists(
+        st.integers(-2, 9), min_size=max(n + extra, 0), max_size=max(n + extra, 0)))
+
+
+_INTEGER = st.one_of(st.sampled_from(_SPECIAL), st.integers(-2, 12).map(str))
+_SEED = st.one_of(st.sampled_from(["-1", "nan"]), st.integers(0, 2**64).map(str))
+_READ_FLAGS = {
+    "cluster": st.fixed_dictionaries({"--classes": _INTEGER}, optional={"--seed": _SEED}),
+    "ssl": st.fixed_dictionaries({}, optional={
+        "--fraction": _NUMBER, "--gamma": _NUMBER, "--seed": _SEED,
+        "--repeats": st.one_of(st.sampled_from(_SPECIAL), st.integers(-1, 30).map(str)),
+    }),
+    "eval": st.just({}),
+}
+
+
+@settings(max_examples=300, deadline=None)
+@given(Z=_z_matrices(), command=st.sampled_from(sorted(_READ_FLAGS)), data=st.data())
+def test_cluster_ssl_and_eval_fuzz_exit_cleanly(Z, command, data):
+    """Any Z, label files and flags: exit 0 with sound scores, or exit 2 with a message."""
+    n = len(Z)
+    labels = data.draw(_label_lists(n), label="labels")
+    flags = data.draw(_READ_FLAGS[command], label="flags")
+    with tempfile.TemporaryDirectory() as tmp:
+        zp, lp, pp, out = (Path(tmp) / name for name in ("z.csv", "y.csv", "pred.csv", "out.json"))
+        write_matrix(zp, Z)
+        lp.write_text("".join(f"{label}\n" for label in labels))
+        argv = [command, "--z", str(zp), "--out", str(out)]
+        if command == "eval":
+            pp.write_text("".join(f"{p}\n" for p in data.draw(_label_lists(n), label="pred")))
+            argv = ["eval", "--pred", str(pp), "--truth", str(lp)]
+        elif command == "ssl" or data.draw(st.booleans(), label="--labels"):
+            argv += ["--labels", str(lp)]
+        argv += [f"{flag}={value}" for flag, value in flags.items()]  # "=": "-1" is no flag
+        stdout, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(err), \
+                warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            try:
+                rc = main(argv)
+            except SystemExit as e:  # argparse rejected a flag value
+                rc = e.code
+        assert rc in (0, 2)
+        assert "Traceback" not in err.getvalue()
+        # the one warning a command may give: ssl relabeling ids that have gaps
+        for w in caught:
+            assert w.category is UserWarning and "relabeling" in str(w.message), w
+        if rc == 2:
+            assert err.getvalue().startswith(("error: ", "usage: ")) and not out.exists()
+            return
+        scores = json.loads(stdout.getvalue() if command == "eval" else out.read_text())
+        if command == "cluster":
+            assert len(scores["assignments"]) == n
+            assert set(scores["assignments"]) <= set(range(int(flags["--classes"])))
+        if command == "ssl":
+            assert len(scores["per_repeat"]) == int(flags.get("--repeats", DEFAULT_REPEATS))
+        for key in ("acc", "nmi", "mean_acc"):
+            assert key not in scores or 0.0 <= scores[key] <= 1.0 + 1e-12

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -234,6 +236,18 @@ def test_kmeans_deterministic(rng):
     b_assignments, b_inertia = kmeans(X, 3, seed=42)
     assert np.array_equal(a_assignments, b_assignments)
     assert a_inertia == b_inertia
+
+
+@pytest.mark.parametrize("X, c", [(np.zeros((6, 2)), 3), (np.ones((3, 1)), 3),
+                                  (np.vstack([np.zeros((4, 2)), np.ones((4, 2))]), 4)])
+def test_kmeans_on_coincident_points_fills_every_cluster(X, c):
+    # every distance is 0: an emptied cluster must not take back the point
+    # another empty cluster has just taken, or its mean is a NaN center
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assignments, inertia = kmeans(X, c, seed=0)
+    assert sorted(set(assignments.tolist())) == list(range(c))
+    assert inertia == 0.0
 
 
 def test_kmeans_rejects_too_many_clusters(rng):

@@ -5,6 +5,7 @@ import platform
 import re
 import subprocess
 import sys
+import weakref
 from dataclasses import MISSING, fields
 from pathlib import Path
 
@@ -219,14 +220,36 @@ def _grid_outputs(cfg):
 def test_grid_deterministic_and_worker_invariant(tmp_path, monkeypatch):
     cfg = small_config(tmp_path, save_z=True)
     outputs = []
-    for workers in ("1", None, "3"):
+    # "16": more workers than the bank's 12 kernels, so fewer jobs than workers
+    for workers in ("1", None, "3", "16"):
         if workers is None:
             monkeypatch.delenv("SIMILEARN_WORKERS", raising=False)
         else:
             monkeypatch.setenv("SIMILEARN_WORKERS", workers)
         outputs.append(_grid_outputs(cfg))
     assert len(outputs[0][1]) == 24
-    assert outputs[0] == outputs[1] == outputs[2]
+    assert all(out == outputs[0] for out in outputs[1:])
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_grid_holds_at_most_one_kernel_per_worker(tmp_path, monkeypatch, workers):
+    built, alive = [], []
+
+    def normalize_and_watch(K, spec):
+        K, fallback_used = normalize_kernel(K, spec)
+        built.append(weakref.ref(K))
+        return K, fallback_used
+
+    def solve_and_count(K, config):
+        alive.append(sum(ref() is not None for ref in built))
+        return solver.solve(K, config)
+
+    monkeypatch.setattr(harness, "normalize_kernel", normalize_and_watch)
+    monkeypatch.setattr(harness, "solve", solve_and_count)
+    monkeypatch.setenv("SIMILEARN_WORKERS", str(workers))
+    _, info = run_experiment(small_config(tmp_path, max_iter=5))
+    assert (info["n_cells"], info["n_failed"], len(built), len(alive)) == (24, 0, 12, 24)
+    assert 1 <= max(alive) <= workers
 
 
 @pytest.fixture

@@ -12,7 +12,10 @@
 #   - `cluster` (with and without --labels), `ssl` at two fractions, `eval`;
 #   - a clustering12 and an ssl7 `benchmark` grid with save_z and two alphas
 #     (results.csv, every z_*.csv, and the manifest's row, cell and failure
-#     records; its timestamp, timings and paths differ by design).
+#     records; its timestamp, timings and paths differ by design);
+#   - the same clustering12 grid on identical samples, where every Gaussian
+#     kernel fails and linear and polynomial fall back: its failure rows in
+#     results.csv and its failure records in manifest_counts.json.
 # Every command's stdout, stderr and exit code are compared too. Inputs are
 # drawn from a fixed numpy seed. Prints "identical" and exits 0 when nothing
 # differs; otherwise prints the diff and exits 1. Outputs stay in WORKDIR
@@ -49,6 +52,9 @@ for n_per in (20, 200):  # three classes: n = 60 and n = 600
     X = rng.normal(size=(3 * n_per, 5)) + 4.0 * np.eye(3, 5)[y]
     np.savetxt(f"{out}/features{3 * n_per}.csv", X, delimiter=",", fmt="%.17g")
     np.savetxt(f"{out}/labels{3 * n_per}.csv", y, fmt="%d")
+# identical samples: every pairwise distance is 0
+np.savetxt(f"{out}/features_identical.csv", np.ones((12, 5)), delimiter=",", fmt="%.17g")
+np.savetxt(f"{out}/labels_identical.csv", np.repeat(np.arange(3), 4), fmt="%d")
 EOF
 
 # run NAME ARGS...: one similearn command; its stdout, stderr and exit code
@@ -60,10 +66,10 @@ run() {
     echo "$code" > "$name.exit"
 }
 
-grid_config() {  # grid_config TASK BANK
+grid_config() {  # grid_config TASK BANK DATA NAME: a grid on features$DATA.csv into grid_NAME
     cat <<EOF
-{"task": "$1", "bank": "$2", "dataset": "../data/features60.csv",
- "labels": "../data/labels60.csv", "out_dir": "grid_$2",
+{"task": "$1", "bank": "$2", "dataset": "../data/features$3.csv",
+ "labels": "../data/labels$3.csv", "out_dir": "grid_$4",
  "regularizers": ["low_rank", "sparse"], "alphas": [0.1, 1.0], "betas": [0.1],
  "seed": 1, "save_z": true}
 EOF
@@ -97,14 +103,16 @@ outputs() {  # outputs SRC OUT: every command with the package under SRC
         python3 -c 'import json, sys; print("\n".join(map(str, json.load(sys.stdin)["assignments"])))' \
             < cluster.json > pred.csv
         run eval eval --pred pred.csv --truth ../data/labels60.csv
-        grid_config clustering clustering12 > grid_clustering12.json
-        grid_config ssl ssl7 > grid_ssl7.json
-        for bank in clustering12 ssl7; do
-            run "benchmark_$bank" benchmark --config "grid_$bank.json"
+        grid_config clustering clustering12 60 clustering12 > grid_clustering12.json
+        grid_config ssl ssl7 60 ssl7 > grid_ssl7.json
+        grid_config clustering clustering12 _identical clustering12_identical \
+            > grid_clustering12_identical.json
+        for grid in clustering12 ssl7 clustering12_identical; do
+            run "benchmark_$grid" benchmark --config "grid_$grid.json"
             # the manifest's timestamp, wall clock, BLAS and version records vary by run
             python3 -c 'import json, sys; m = json.load(sys.stdin); print(json.dumps({k: m.get(k) for k in ("n_rows", "n_cells", "n_failed", "failures")}, indent=1))' \
-                < "grid_$bank/manifest.json" > "grid_$bank/manifest_counts.json"
-            rm "grid_$bank/manifest.json"
+                < "grid_$grid/manifest.json" > "grid_$grid/manifest_counts.json"
+            rm "grid_$grid/manifest.json"
         done
     )
 }

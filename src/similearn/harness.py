@@ -11,9 +11,9 @@ selection protocol for comparing methods, not a deployable
 model-selection rule.
 
 All randomness flows from the single configured seed; reruns with an
-equal config produce byte-identical CSV output. Each kernel is one job
-of a thread pool sized by the SIMILEARN_WORKERS environment variable
-(default: the usable CPUs): the job builds the kernel and runs its cells.
+equal config produce byte-identical CSV output. Each grid cell is one
+job of a thread pool sized by the SIMILEARN_WORKERS environment variable
+(default: the usable CPUs): the job builds its kernel, solves and scores.
 The pool holds OpenBLAS to one thread per worker while it runs; rows keep
 job order within canonically sorted groups, so worker count, completion
 order and thread variables never change the output.
@@ -291,46 +291,39 @@ def run_experiment(config: ExperimentConfig):
     X, labels, c = load_dataset(config.dataset, config.labels)
     dataset_name = Path(config.dataset).stem
 
-    def run_kernel(spec):
-        """One pool job: build spec's kernel, run its cells in order, drop K on return."""
-        # not build_kernel_bank, whose first failing kernel would end the bank: a
-        # kernel that cannot be built is the error of each of its cells. Only the
-        # message is kept, so the failed build's arrays are not held by a traceback
-        try:
-            K, error = normalize_kernel(compute_kernel(X, spec), spec)[0], None
-        except Exception as e:
-            K, error = None, f"{type(e).__name__}: {e}"
-        cells = itertools.product(config.regularizers, config.alphas, config.betas)
-        return [run_cell(spec, K, error, *cell) for cell in cells]
-
-    def run_cell(spec, K, error, reg, alpha, beta):
+    def run_cell(spec, reg, alpha, beta):
+        """One pool job: build spec's kernel, solve, save Z if asked, score; drop K on return."""
         where = dict(kernel=spec.name, regularizer=reg, alpha=alpha, beta=beta)
         cell = dict(where, dataset=dataset_name)
-        if error is None:
-            try:
-                cfg = config.solver_config(reg, alpha, beta)
-                sol = solve(K, cfg)
-                if config.save_z:
-                    write_matrix(_z_path(out_dir, spec.name, reg, alpha, beta), sol.Z)
-                end = dict(converged=sol.converged, iterations=sol.iterations,
-                           objective=sol.objective)
-                return [
-                    ResultRow(**cell, **m, **end) for m in metrics(sol.Z, labels, c, config)
-                ], None
-            except Exception as e:
-                error = f"{type(e).__name__}: {e}"
+        # not build_kernel_bank, whose first failing kernel would end the bank: a
+        # kernel that cannot be built is the error of each of its cells. Only the
+        # message is kept, so a failed cell's arrays are not held by a traceback
+        try:
+            K = normalize_kernel(compute_kernel(X, spec), spec)[0]
+            sol = solve(K, config.solver_config(reg, alpha, beta))
+            if config.save_z:
+                write_matrix(_z_path(out_dir, spec.name, reg, alpha, beta), sol.Z)
+            end = dict(converged=sol.converged, iterations=sol.iterations,
+                       objective=sol.objective)
+            return [
+                ResultRow(**cell, **m, **end) for m in metrics(sol.Z, labels, c, config)
+            ], None
+        except Exception as e:
+            error = f"{type(e).__name__}: {e}"
         groups = [(None, None)]
         if config.task == "ssl":  # a failed row in every (gamma, fraction) group, as if scored
             groups = itertools.product(config.gammas, config.fractions)
         rows = [ResultRow(**cell, gamma=g, fraction=f, converged=False) for g, f in groups]
         return rows, dict(where, error=error)
 
-    # at most `workers` kernels are held at once; one BLAS thread per worker:
-    # the workers are the parallelism, and multi-threaded OpenBLAS would
-    # change the last bits of Z
+    # kernel-major cells; each worker holds at most one kernel at a time. One
+    # BLAS thread per worker: the workers are the parallelism, and
+    # multi-threaded OpenBLAS would change the last bits of Z
+    cells = itertools.product(bank_specs(config.bank), config.regularizers,
+                              config.alphas, config.betas)
     with _single_threaded_blas() as blas:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = [r for job in pool.map(run_kernel, bank_specs(config.bank)) for r in job]
+            results = list(pool.map(lambda cell: run_cell(*cell), cells))
 
     rows = _summarize([row for cell_rows, _ in results for row in cell_rows])
     failures = [failure for _, failure in results if failure is not None]

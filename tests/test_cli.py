@@ -10,6 +10,7 @@ import tracemalloc
 import warnings
 from dataclasses import fields
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from hypothesis import strategies as st
 from conftest import two_blobs
 from similearn import cli, harness
 from similearn.cli import build_parser, main
+from similearn.harness import run_experiment
 from similearn.io import read_matrix, write_labels, write_matrix
 from similearn.kernels import bank_specs, build_kernel_bank, compute_kernel, normalize_kernel
 from similearn.semisupervised import DEFAULT_REPEATS
@@ -730,3 +732,96 @@ def test_cluster_ssl_and_eval_fuzz_exit_cleanly(Z, command, data):
             assert len(scores["per_repeat"]) == int(flags.get("--repeats", DEFAULT_REPEATS))
         for key in ("acc", "nmi", "mean_acc"):
             assert key not in scores or 0.0 <= scores[key] <= 1.0 + 1e-12
+
+
+_HUGE = 10**400  # a JSON integer beyond the float range
+_VALID_CONFIG = st.fixed_dictionaries(
+    # max_iter always: its default of 300 would make each example slow
+    {"max_iter": st.integers(1, 3)},
+    optional={
+        "task": st.sampled_from(["clustering", "ssl"]),
+        "bank": st.sampled_from(["clustering12", "ssl7"]),
+        "regularizers": st.lists(st.sampled_from(["low_rank", "sparse"]), min_size=1,
+                                 max_size=2, unique=True),
+        "alphas": st.lists(st.sampled_from([0.1, 1.0, 1e-300, 1e300]), min_size=1, max_size=2),
+        "betas": st.lists(st.sampled_from([0.1, 1.0, 1e-300, 1e300]), min_size=1, max_size=2),
+        "gammas": st.lists(st.sampled_from([0.1, 1.0, 1e300]), min_size=1, max_size=2),
+        "fractions": st.lists(st.sampled_from([0.1, 0.5, 0.99]), min_size=1, max_size=2),
+        "repeats": st.integers(1, 3),
+        "mu": st.sampled_from([0.1, 1.0, 1e-300, 1e300]),
+        "tol": st.sampled_from([1e-4, 1e-300, 1e300]),
+        "seed": st.sampled_from([0, 1, 2**64]),
+        "save_z": st.booleans(),
+    },
+)
+_WRONG_VALUES = [None, True, "nan", "0.1", -1, 0, 2.5, float("nan"), 1e308, _HUGE, [], {}]
+_WRONG_CONFIG = st.one_of(
+    # one key of a valid config set to a value of the wrong type or range
+    st.tuples(
+        st.sampled_from(sorted(harness.ExperimentConfig.__dataclass_fields__)),
+        st.one_of(st.sampled_from(_WRONG_VALUES),
+                  st.lists(st.sampled_from(_WRONG_VALUES), min_size=1, max_size=2)),
+    ),
+    st.tuples(st.just("typo_key"), st.just(1)),
+    st.tuples(st.just("missing"), st.sampled_from(["task", "dataset", "labels", "out_dir"])),
+    st.tuples(st.just("not_an_object"), st.sampled_from([[], 5, "config"])),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    X=_feature_matrices(),
+    config=_VALID_CONFIG,
+    wrong=st.one_of(st.none(), st.none(), _WRONG_CONFIG),
+    workers=st.sampled_from(["1", "2", "4", "0"]),
+    data=st.data(),
+)
+def test_benchmark_fuzz_exits_cleanly(X, config, wrong, workers, data):
+    """Any config, data and labels: exit 0 with results, or exit 2 with a message.
+
+    A grid whose every cell failed exits 2 after writing results.csv and the manifest.
+    """
+    labels = data.draw(_label_lists(len(X)), label="labels")
+    with tempfile.TemporaryDirectory() as tmp:
+        fp, lp, cp, out = (Path(tmp) / name for name in ("x.csv", "y.csv", "cfg.json", "out"))
+        write_matrix(fp, X)
+        lp.write_text("".join(f"{label}\n" for label in labels))
+        cfg = {"task": "clustering", "dataset": str(fp), "labels": str(lp), "out_dir": str(out)}
+        cfg.update(config)
+        key, value = wrong or (None, None)
+        if key == "missing":
+            del cfg[value]
+        elif key == "not_an_object":
+            cfg = value
+        elif key is not None:
+            cfg[key] = value
+        cp.write_text(json.dumps(cfg))
+        infos = []
+
+        def run_and_keep_info(config):
+            rows, info = run_experiment(config)
+            infos.append(info)
+            return rows, info
+
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err), \
+                warnings.catch_warnings(record=True), \
+                mock.patch.dict(os.environ, {"SIMILEARN_WORKERS": workers}), \
+                mock.patch.object(harness, "run_experiment", run_and_keep_info):
+            warnings.simplefilter("always")  # recorded, so stderr holds only the error
+            try:
+                rc = main(["benchmark", "--config", str(cp)])
+            except SystemExit as e:
+                rc = e.code
+        assert rc in (0, 2)
+        assert "Traceback" not in err.getvalue()
+        if rc == 2:
+            assert err.getvalue().startswith(("error: ", "usage: "))
+        if not infos:  # the config, data or workers were rejected before the grid ran
+            assert rc == 2
+            return
+        all_failed = infos[0]["n_failed"] == infos[0]["n_cells"]
+        assert rc == (2 if all_failed else 0)
+        assert (out / "results.csv").exists() and (out / "manifest.json").exists()
+        if all_failed:
+            assert "error: no grid cell produced metrics" in err.getvalue()

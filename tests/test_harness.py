@@ -5,6 +5,7 @@ import platform
 import re
 import subprocess
 import sys
+import threading
 import weakref
 from dataclasses import MISSING, fields
 from pathlib import Path
@@ -220,7 +221,7 @@ def _grid_outputs(cfg):
 def test_grid_deterministic_and_worker_invariant(tmp_path, monkeypatch):
     cfg = small_config(tmp_path, save_z=True)
     outputs = []
-    # "16": more workers than the bank's 12 kernels, so fewer jobs than workers
+    # "16": more workers than the bank's 12 kernels, fewer than its 24 cells
     for workers in ("1", None, "3", "16"):
         if workers is None:
             monkeypatch.delenv("SIMILEARN_WORKERS", raising=False)
@@ -248,8 +249,28 @@ def test_grid_holds_at_most_one_kernel_per_worker(tmp_path, monkeypatch, workers
     monkeypatch.setattr(harness, "solve", solve_and_count)
     monkeypatch.setenv("SIMILEARN_WORKERS", str(workers))
     _, info = run_experiment(small_config(tmp_path, max_iter=5))
-    assert (info["n_cells"], info["n_failed"], len(built), len(alive)) == (24, 0, 12, 24)
+    # each cell builds its own kernel, and drops it before the worker takes the next
+    assert (info["n_cells"], info["n_failed"], len(built), len(alive)) == (24, 0, 24, 24)
     assert 1 <= max(alive) <= workers
+
+
+def test_more_cells_run_at_once_than_kernels_at_13_workers(tmp_path, monkeypatch):
+    # clustering12 has 12 kernels: the first 13 solves wait for each other, so
+    # the grid passes only if 13 of its cells run at the same time
+    barrier, lock, calls = threading.Barrier(13, timeout=5), threading.Lock(), []
+
+    def solve_at_the_barrier(K, config):
+        with lock:
+            calls.append(None)
+            first = len(calls) <= 13
+        if first:
+            barrier.wait()
+        return solver.solve(K, config)
+
+    monkeypatch.setattr(harness, "solve", solve_at_the_barrier)
+    monkeypatch.setenv("SIMILEARN_WORKERS", "13")
+    _, info = run_experiment(small_config(tmp_path, max_iter=5))
+    assert (info["n_cells"], info["n_failed"], len(calls)) == (24, 0, 24)
 
 
 @pytest.fixture

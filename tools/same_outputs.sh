@@ -15,7 +15,9 @@
 #     records; its timestamp, timings and paths differ by design);
 #   - the same clustering12 grid on identical samples, where every Gaussian
 #     kernel fails and linear and polynomial fall back: its failure rows in
-#     results.csv and its failure records in manifest_counts.json.
+#     results.csv and its failure records in manifest_counts.json;
+#   - the first clustering12 grid again at SIMILEARN_WORKERS=16, more workers
+#     than the bank has kernels (the other grids run at the default workers).
 # Every command's stdout, stderr and exit code are compared too. Inputs are
 # drawn from a fixed numpy seed. Prints "identical" and exits 0 when nothing
 # differs; otherwise prints the diff and exits 1. Outputs stay in WORKDIR
@@ -107,8 +109,14 @@ outputs() {  # outputs SRC OUT: every command with the package under SRC
         grid_config ssl ssl7 60 ssl7 > grid_ssl7.json
         grid_config clustering clustering12 _identical clustering12_identical \
             > grid_clustering12_identical.json
-        for grid in clustering12 ssl7 clustering12_identical; do
-            run "benchmark_$grid" benchmark --config "grid_$grid.json"
+        grid_config clustering clustering12 60 clustering12_16_workers \
+            > grid_clustering12_16_workers.json
+        for grid in clustering12 ssl7 clustering12_identical clustering12_16_workers; do
+            if [ "$grid" = clustering12_16_workers ]; then
+                SIMILEARN_WORKERS=16 run "benchmark_$grid" benchmark --config "grid_$grid.json"
+            else
+                run "benchmark_$grid" benchmark --config "grid_$grid.json"
+            fi
             # the manifest's timestamp, wall clock, BLAS and version records vary by run
             python3 -c 'import json, sys; m = json.load(sys.stdin); print(json.dumps({k: m.get(k) for k in ("n_rows", "n_cells", "n_failed", "failures")}, indent=1))' \
                 < "grid_$grid/manifest.json" > "grid_$grid/manifest_counts.json"

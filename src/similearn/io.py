@@ -78,7 +78,31 @@ def read_matrix(path) -> np.ndarray:
 
 
 def write_matrix(path, M):
-    np.savetxt(path, np.atleast_2d(M), delimiter=",", fmt=FLOAT_FMT)
+    """Write M (1-D as one row) as np.savetxt does with ``delimiter=","`` and ``fmt=FLOAT_FMT``.
+
+    A square float matrix equal to its transpose bit for bit (every kernel is) has each
+    mirrored value formatted once: row i formats M[i, i:] and lends M[i, j] to row j > i.
+    """
+    A = np.atleast_2d(M)
+    n, m = A.shape
+    # bits, not values, since 0.0 == -0.0 is written "0" and "-0"; by rows, with no n x n temporary
+    symmetric = n == m and A.dtype == np.float64 and all(
+        np.array_equal(A[i, i + 1:].view(np.int64), A[i + 1:, i].view(np.int64))
+        for i in range(n))
+    with open(path, "wb") as f:
+        if symmetric:
+            lower = [bytearray() for _ in range(n)]  # row j's values left of its diagonal
+            for i in range(n):
+                upper = (",".join([FLOAT_FMT] * (n - i)) % tuple(A[i, i:].tolist())).encode()
+                for row, value in zip(lower[i + 1:], upper.split(b",")[1:]):
+                    row += value
+                    row += b","
+                f.write(lower[i] + upper + b"\n")
+                lower[i] = None
+        else:
+            template = ",".join([FLOAT_FMT] * m) + "\n"
+            for row in A:
+                f.write((template % tuple(row.tolist())).encode())
 
 
 def read_labels(path) -> np.ndarray:

@@ -1,8 +1,9 @@
 import csv
+import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from similearn.errors import DataFormatError
@@ -171,6 +172,63 @@ def test_matrix_roundtrip_exact(tmp_path, rng):
     write_matrix(p, M)
     back = read_matrix(p)
     assert np.array_equal(back, M)
+
+
+_EDGE_FLOATS = [0.0, -0.0, np.nan, np.inf, -np.inf, 5e-324, -2.2250738585072009e-308,
+                1e-300, -3.3e-300, 1e300, -1.7976931348623157e308]
+
+
+@st.composite
+def _written_matrices(draw):
+    """Matrices for write_matrix: exactly symmetric or not, float or int, in any layout."""
+    n = draw(st.integers(0, 6))
+    m = n if draw(st.booleans()) else draw(st.integers(0, 6))
+    if draw(st.booleans()):
+        values = st.one_of(st.floats(), st.sampled_from(_EDGE_FLOATS))
+        dtype = float
+    else:
+        values, dtype = st.integers(-2**63, 2**63 - 1), np.int64
+    M = np.array(draw(st.lists(values, min_size=n * m, max_size=n * m)), dtype=dtype)
+    if dtype is float and draw(st.booleans()):  # all zeros, signs drawn
+        M = np.where(draw(st.lists(st.booleans(), min_size=n * m, max_size=n * m)), -0.0, 0.0)
+    M = M.reshape(n, m)
+    if n == m and draw(st.booleans()):  # mirror the upper triangle bit for bit
+        M = np.where(np.triu(np.ones((n, n), dtype=bool)), M, M.T)
+        if n > 1 and dtype is float and draw(st.booleans()):  # one mirrored 0.0/-0.0 pair
+            i, j = draw(st.permutations(range(n)))[:2]
+            M[i, j], M[j, i] = 0.0, -0.0
+    layout = draw(st.sampled_from(["c", "fortran", "T", "strided", "1-D"]))
+    return {"c": M, "fortran": np.asfortranarray(M), "T": M.T, "strided": M[::2, ::2],
+            "1-D": M.ravel()}[layout]
+
+
+@settings(max_examples=300, deadline=None)
+@given(M=_written_matrices())
+@example(M=np.array([[1.0, 0.0, 2.0], [-0.0, 1.0, 3.0], [2.0, 3.0, 1.0]]))  # "-0" stays put
+@example(M=np.array([[0.0, -0.0], [0.0, -0.0]]))
+def test_write_matrix_matches_savetxt(tmp_path_factory, M):
+    """The symmetric and the general path both write np.savetxt's bytes."""
+    got, want = (tmp_path_factory.getbasetemp() / name for name in ("got.csv", "want.csv"))
+    write_matrix(got, M)
+    np.savetxt(want, np.atleast_2d(M), delimiter=",", fmt="%.17g")
+    assert got.read_bytes() == want.read_bytes()
+
+
+@pytest.mark.parametrize("symmetric, bound", [(True, 1.0), (False, 0.25)])
+def test_write_matrix_memory(tmp_path, rng, symmetric, bound):
+    """Beyond M, a symmetric write holds at most n^2 doubles and a general one a quarter of
+    that: rows go out one at a time, never the whole matrix as Python floats."""
+    n = 300
+    M = rng.standard_normal((n, n)) * np.exp(rng.uniform(-20, 20, (n, n)))
+    if symmetric:
+        M = (M + M.T) / 2
+    tracemalloc.start()
+    try:
+        write_matrix(tmp_path / "m.csv", M)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= bound * n * n * 8
 
 
 def test_matrix_blank_lines_skipped(tmp_path):

@@ -8,7 +8,9 @@
 # (exported with `git archive`), then compares the two output trees with
 # `diff -r`. The set:
 #   - `kernels` on both banks, at n=60 and at n=600 (CSVs, JSONs, stdout);
-#   - `learn` on gaussian_t1, poly_a1_b2 and linear x both regularizers;
+#   - `learn` on gaussian_t1, poly_a1_b2 and linear x both regularizers at n=60,
+#     and on gaussian_t1 x both regularizers at n=600 with 5 iterations (a dense
+#     low_rank Z, and a sparse Z full of -0 entries: neither is symmetric);
 #   - `cluster` (with and without --labels), `ssl` at two fractions, `eval`;
 #   - a clustering12 and an ssl7 `benchmark` grid with save_z and two alphas
 #     (results.csv, every z_*.csv, and the manifest's row, cell and failure
@@ -94,6 +96,10 @@ outputs() {  # outputs SRC OUT: every command with the package under SRC
                 run "learn_${kernel}_$reg" learn --kernel "kernels_clustering12_60/$kernel.csv" \
                     --reg "$reg" --out "z_${kernel}_$reg.csv"
             done
+        done
+        for reg in low_rank sparse; do
+            run "learn_600_$reg" learn --kernel kernels_clustering12_600/gaussian_t1.csv \
+                --reg "$reg" --max-iter 5 --out "z_600_$reg.csv"
         done
         run cluster cluster --z z_gaussian_t1_sparse.csv --classes 3 --seed 1 --out cluster.json
         run cluster_labels cluster --z z_gaussian_t1_sparse.csv --classes 3 --seed 1 \

@@ -19,8 +19,6 @@ job order within canonically sorted groups, so worker count, completion
 order and thread variables never change the output.
 """
 
-import contextlib
-import ctypes
 import datetime
 import itertools
 import numbers
@@ -37,6 +35,7 @@ import numpy as np
 import scipy
 
 from . import __version__
+from ._lapack import single_threaded_blas
 from .graph import cluster
 from .io import read_json, read_labels, read_matrix, write_json, write_matrix
 from .kernels import bank_specs, compute_kernel, normalize_kernel
@@ -321,7 +320,7 @@ def run_experiment(config: ExperimentConfig):
     # multi-threaded OpenBLAS would change the last bits of Z
     cells = itertools.product(bank_specs(config.bank), config.regularizers,
                               config.alphas, config.betas)
-    with _single_threaded_blas() as blas:
+    with single_threaded_blas() as blas:
         with ThreadPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(lambda cell: run_cell(*cell), cells))
 
@@ -331,48 +330,6 @@ def run_experiment(config: ExperimentConfig):
     info.update(workers=workers, cpus=cpus, blas_threads=blas, python=platform.python_version(),
                 numpy=np.__version__, scipy=scipy.__version__)
     return rows, info
-
-
-# thread-count symbols of scipy-openblas wheels (numpy's ILP64 build, scipy's
-# LP64 one), then the plain ones of older wheels and system OpenBLAS
-_THREAD_SYMBOLS = ("scipy_openblas_{}_num_threads64_", "scipy_openblas_{}_num_threads",
-                   "openblas_{}_num_threads64_", "openblas_{}_num_threads")
-
-
-def _openblas_libraries():
-    """(path, get_num_threads, set_num_threads) of each OpenBLAS library in the process."""
-    try:
-        with open("/proc/self/maps") as f:
-            paths = sorted({line.split(maxsplit=5)[-1].strip() for line in f})
-    except OSError:  # no procfs: no library to budget
-        return []
-    found = []
-    for path in (p for p in paths if "openblas" in Path(p).name.lower() and os.path.isfile(p)):
-        lib = ctypes.CDLL(path)
-        for name in _THREAD_SYMBOLS:
-            get, set_ = (getattr(lib, name.format(verb), None) for verb in ("get", "set"))
-            if get and set_:
-                get.argtypes, get.restype = [], ctypes.c_int
-                set_.argtypes, set_.restype = [ctypes.c_int], None
-                found.append((path, get, set_))
-                break
-    return found
-
-
-@contextlib.contextmanager
-def _single_threaded_blas():
-    """Hold each OpenBLAS library to one thread, restoring its count on exit.
-
-    Yields their [{library, before, during}] thread counts, [] where none is found.
-    """
-    libs = [(path, get, set_, get()) for path, get, set_ in _openblas_libraries()]
-    try:
-        for _, _, set_, _ in libs:
-            set_(1)
-        yield [dict(library=path, before=before, during=get()) for path, get, _, before in libs]
-    finally:
-        for _, _, set_, before in libs:
-            set_(before)
 
 
 def _fmt(value):

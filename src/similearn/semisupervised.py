@@ -17,7 +17,8 @@ import numbers
 import numpy as np
 
 from .graph import build_graph, laplacian
-from .solver import _solve_spd, require_number
+from ._lapack import solve_spd
+from .solver import require_number
 
 DEFAULT_REPEATS = 20
 DEFAULT_GAMMA = 1.0
@@ -53,7 +54,7 @@ def lgc_propagate(L, Y, gamma) -> np.ndarray:
             f"d = {degree:.3e} is the graph's largest degree; rescale Z or raise gamma"
         )
     msg = "L + gamma I is not positive definite; L must be a PSD Laplacian"
-    return gamma * _solve_spd(L, Y, gamma, "L + gamma I", msg)  # ValueError on a shape mismatch
+    return gamma * solve_spd(L, Y, gamma, "L + gamma I", msg)  # ValueError on a shape mismatch
 
 
 def check_protocol(fraction, repeats, gamma):

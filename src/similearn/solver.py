@@ -35,19 +35,14 @@ tau is resolved to about eps ||D||^2 / tau; when ||D||_2 / tau exceeds
 _GRAM_RATIO, or D D' overflows, the threshold falls back to the SVD.
 """
 
-import ctypes
 import math
 import numbers
-import os
-import sys
 from dataclasses import dataclass
-from importlib.machinery import PathFinder
-from importlib.util import module_from_spec
 
 import numpy as np
-import scipy
 
-from .errors import DivergenceError, LinearSolveError
+from ._lapack import solve_spd
+from .errors import DivergenceError
 
 REGULARIZERS = ("low_rank", "sparse")
 
@@ -152,81 +147,6 @@ def prox_nuclear(D, tau):
     return (U * np.maximum(s - tau, 0.0)) @ Vt
 
 
-def _scipy_linalg_module(name):
-    """scipy.linalg's extension module ``name``, run (or reused) without its package.
-
-    The Cython BLAS and LAPACK modules link scipy's OpenBLAS themselves and
-    import only numpy and scipy internals, so scipy.linalg's __init__ need not run.
-    The entry their init puts in sys.modules is dropped, so a later import binds
-    them to the scipy.linalg package; Cython gives it the same module objects.
-    """
-    fullname = f"scipy.linalg.{name}"
-    if fullname in sys.modules:
-        return sys.modules[fullname]
-    spec = PathFinder.find_spec(fullname, [os.path.join(scipy.__path__[0], "linalg")])
-    module = module_from_spec(spec)
-    spec.loader.exec_module(module)
-    sys.modules.pop(fullname, None)
-    return module
-
-
-# routines that scipy's Cython LAPACK and BLAS APIs export, with Fortran's
-# by-reference arguments, called through ctypes, which releases the GIL
-cython_blas, cython_lapack = map(_scipy_linalg_module, ("cython_blas", "cython_lapack"))
-_INT, _PTR, _OBJ = ctypes.POINTER(ctypes.c_int), ctypes.c_void_p, ctypes.py_object
-_CHAR, _DOUBLE = ctypes.c_char_p, ctypes.POINTER(ctypes.c_double)
-_capsule_name = ctypes.PYFUNCTYPE(_CHAR, _OBJ)(("PyCapsule_GetName", ctypes.pythonapi))
-_capsule_pointer = ctypes.PYFUNCTYPE(_PTR, _OBJ, _CHAR)(("PyCapsule_GetPointer", ctypes.pythonapi))
-
-
-def _bind(module, name, *argtypes):
-    capsule = module.__pyx_capi__[name]
-    return ctypes.CFUNCTYPE(None, *argtypes)(_capsule_pointer(capsule, _capsule_name(capsule)))
-
-
-_DPOTRF = _bind(cython_lapack, "dpotrf", _CHAR, _INT, _PTR, _INT, _INT)
-_DTRSM = _bind(cython_blas, "dtrsm", *[_CHAR] * 4, _INT, _INT, _DOUBLE, _PTR, _INT, _PTR, _INT)
-
-
-def _solve_spd(A, B, shift, what, message="{what}: left-hand side is not positive definite"
-               " (cond ~ {cond}); increase mu"):
-    """Solve (A + shift I) X = B for symmetric positive definite A + shift I.
-
-    The one n x n working copy is A + 0.0 (turning -0.0 into 0.0) in
-    Fortran order, shift added to its diagonal; LAPACK dpotrf overwrites
-    it with the upper Cholesky factor U that dposv would compute. Then
-    X' = B' U^-1 U^-T by two right-side BLAS dtrsm calls on a C-order
-    copy of B, whose buffer is X' in Fortran order; with n right-hand
-    sides OpenBLAS runs them faster than dposv's left-side ones (1.7x at
-    n = 100). The calls release the GIL, so W and H steps on a thread pool
-    overlap. dpotrf does not look for NaN or inf, so it never sees a
-    non-finite A + shift I: X is then all NaN. A non-finite B gives a
-    non-finite X too; callers check X. When A + shift I is not positive
-    definite, LinearSolveError(message) is raised with {what} and {cond},
-    its condition number, filled in.
-    """
-    A, X = np.asarray(A, dtype=float), np.array(B, dtype=float, order="C")  # X: overwritten
-    if X.ndim != 2 or A.shape != (len(X), len(X)):  # dpotrf reads n x n, dtrsm n x nrhs
-        raise ValueError(f"{what}: cannot solve a {A.shape} system for {X.shape}")
-    factor = np.array(A, order="F")  # copy, then add in place: np.add into an F-order
-    factor += 0.0  # buffer is 2-3x slower
-    factor.reshape(-1, order="F")[:: len(X) + 1] += shift  # a view: the diagonal
-    if not (math.isfinite(factor.min()) and math.isfinite(factor.max())):  # NaN makes both NaN
-        return np.full_like(X, np.nan)
-    n, info = ctypes.c_int(X.shape[0]), ctypes.c_int()
-    _DPOTRF(b"U", n, factor.ctypes.data, n, info)
-    if info.value > 0:
-        cond = float(np.linalg.cond(A + shift * np.eye(len(X))))
-        raise LinearSolveError(message.format(what=what, cond=f"{cond:.3e}"), cond=cond)
-    if info.value < 0:
-        raise LinearSolveError(f"{what}: dpotrf rejected its argument {-info.value}")
-    nrhs, ldb = ctypes.c_int(X.shape[1]), ctypes.c_int(max(1, X.shape[1]))  # BLAS: ldb >= 1
-    for trans in (b"N", b"T"):  # X' U = B', then X' U' = B' U^-1
-        _DTRSM(b"R", b"U", trans, b"N", nrhs, n, ctypes.c_double(1.0), factor.ctypes.data, n,
-               X.ctypes.data, ldb)
-    return X
-
-
 def update_j(K, Z, Y1, mu, inverse):
     """J = (K + mu I)^-1 (K + mu Z - Y1), with ``inverse`` = (K + mu I)^-1."""
     return inverse @ (K + mu * Z - Y1)
@@ -236,14 +156,14 @@ def update_w(K, H, Z, Y2, mu, alpha):
     """W = (2 alpha K H H'K' + mu I)^-1 (2 alpha K H K' + mu Z - Y2)."""
     KH = K @ H
     G = 2.0 * alpha * KH
-    return _solve_spd(G @ KH.T, G @ K.T + mu * Z - Y2, mu, "W update")
+    return solve_spd(G @ KH.T, G @ K.T + mu * Z - Y2, mu, "W update")
 
 
 def update_h(K, W, Z, Y3, mu, alpha):
     """H = (2 alpha K'W W'K + mu I)^-1 (2 alpha K'W K + mu Z - Y3)."""
     KtW = K.T @ W
     G = 2.0 * alpha * KtW
-    return _solve_spd(G @ KtW.T, G @ K + mu * Z - Y3, mu, "H update")
+    return solve_spd(G @ KtW.T, G @ K + mu * Z - Y3, mu, "H update")
 
 
 def update_z(J, W, H, Y1, Y2, Y3, mu, beta, regularizer):
@@ -310,7 +230,7 @@ def solve(K, config: SolverConfig):
     """Run ADMM on the symmetric n x n kernel K (normalized or not) to
     convergence or the iteration cap; return the Solution.
 
-    P = (K + mu I)^-1 is formed once, by one _solve_spd call. Each J
+    P = (K + mu I)^-1 is formed once, by one solve_spd call. Each J
     step is one product with P, and Z and H start at the least-squares
     representation P K = I - mu P with the diagonal zeroed. Multipliers
     start at zero, and J and W come from their first updates.
@@ -330,7 +250,7 @@ def solve(K, config: SolverConfig):
     mu, alpha, beta = config.mu, config.alpha, config.beta
     # an overflow ends in a DivergenceError naming the step; numpy's warning would repeat it
     with np.errstate(over="ignore", invalid="ignore"):
-        P = _solve_spd(  # (K + mu I)^-1
+        P = solve_spd(  # (K + mu I)^-1
             K, np.eye(n), mu, "K + mu I",
             "K + mu I is not positive definite; mu must exceed the most "
             "negative kernel eigenvalue (cond ~ {cond})",

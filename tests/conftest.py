@@ -27,7 +27,7 @@ def random_psd_kernel(n, rng, normalize=True):
 def f2py_spd_solve(A, B):
     """A^-1 B from scipy's f2py dpotrf and two right-side dtrsm: X' = B' U^-1 U^-T.
 
-    The reference for solver._solve_spd, which calls the same routines
+    The reference for _lapack.solve_spd, which calls the same routines
     through another binding.
     """
     U, info = lapack.dpotrf(A)

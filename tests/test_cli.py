@@ -796,6 +796,8 @@ def test_benchmark_fuzz_exits_cleanly(X, config, wrong, workers, data):
         elif key is not None:
             cfg[key] = value
         cp.write_text(json.dumps(cfg))
+        if key == "out_dir" and isinstance(value, str):  # a relative path, such as "nan":
+            out = Path(tmp, value)  # valid, and written below the working directory, tmp
         infos = []
 
         def run_and_keep_info(config):
@@ -804,15 +806,19 @@ def test_benchmark_fuzz_exits_cleanly(X, config, wrong, workers, data):
             return rows, info
 
         err = io.StringIO()
-        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err), \
-                warnings.catch_warnings(record=True), \
-                mock.patch.dict(os.environ, {"SIMILEARN_WORKERS": workers}), \
-                mock.patch.object(harness, "run_experiment", run_and_keep_info):
-            warnings.simplefilter("always")  # recorded, so stderr holds only the error
-            try:
+        cwd = os.getcwd()
+        os.chdir(tmp)
+        try:
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err), \
+                    warnings.catch_warnings(record=True), \
+                    mock.patch.dict(os.environ, {"SIMILEARN_WORKERS": workers}), \
+                    mock.patch.object(harness, "run_experiment", run_and_keep_info):
+                warnings.simplefilter("always")  # recorded, so stderr holds only the error
                 rc = main(["benchmark", "--config", str(cp)])
-            except SystemExit as e:
-                rc = e.code
+        except SystemExit as e:
+            rc = e.code
+        finally:
+            os.chdir(cwd)
         assert rc in (0, 2)
         assert "Traceback" not in err.getvalue()
         if rc == 2:

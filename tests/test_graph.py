@@ -6,7 +6,7 @@ import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from similearn import graph
+from similearn import _lapack
 from similearn.graph import (
     build_graph,
     cluster,
@@ -204,13 +204,13 @@ def test_spectral_embed_rejects_a_non_square_l():
 
 
 def test_spectral_embed_raises_linalgerror_when_dsyevr_fails(monkeypatch):
-    dsyevr = graph._DSYEVR
+    dsyevr = _lapack._DSYEVR
 
     def fails(*args):  # runs the real routine, then reports failure through info
         dsyevr(*args)
         args[-1].value = 2
 
-    monkeypatch.setattr(graph, "_DSYEVR", fails)
+    monkeypatch.setattr(_lapack, "_DSYEVR", fails)
     with pytest.raises(np.linalg.LinAlgError, match="dsyevr failed with info = 2"):
         spectral_embed(np.eye(3), 1)
     assert issubclass(np.linalg.LinAlgError, ValueError)  # the CLI reports it, exit 2

@@ -15,7 +15,8 @@ import pytest
 import scipy
 
 from conftest import two_blobs
-from similearn import harness, solver
+from similearn import _lapack, harness, solver
+from similearn._lapack import openblas_libraries, single_threaded_blas
 from similearn.cli import main
 from similearn.errors import LinearSolveError
 from similearn.graph import cluster
@@ -24,8 +25,6 @@ from similearn.harness import (
     CSV_COLUMNS,
     MEAN_KERNEL,
     ExperimentConfig,
-    _openblas_libraries,
-    _single_threaded_blas,
     load_dataset,
     load_experiment_config,
     persist_results,
@@ -276,7 +275,7 @@ def test_more_cells_run_at_once_than_kernels_at_13_workers(tmp_path, monkeypatch
 @pytest.fixture
 def blas_at_two_threads():
     """Every OpenBLAS library at two threads (where it allows), put back after."""
-    libs = _openblas_libraries()
+    libs = openblas_libraries()
     original = [get() for _, get, _ in libs]
     for _, _, set_ in libs:
         set_(2)
@@ -286,11 +285,11 @@ def blas_at_two_threads():
 
 
 def _unrecognized_openblas():
-    """Files named like OpenBLAS in /proc/self/maps that _openblas_libraries() misses."""
+    """Files named like OpenBLAS in /proc/self/maps that openblas_libraries() misses."""
     with open("/proc/self/maps") as f:
         mapped = {line.split(maxsplit=5)[-1].strip() for line in f}
     openblas = {p for p in mapped if "openblas" in Path(p).name.lower() and os.path.isfile(p)}
-    return openblas - {path for path, _, _ in _openblas_libraries()}, openblas
+    return openblas - {path for path, _, _ in openblas_libraries()}, openblas
 
 
 @pytest.mark.skipif(not os.path.exists("/proc/self/maps"), reason="needs procfs")
@@ -303,7 +302,7 @@ def test_every_mapped_openblas_library_gets_a_thread_budget():
 @pytest.mark.skipif(not os.path.exists("/proc/self/maps"), reason="needs procfs")
 def test_openblas_check_fails_when_no_thread_symbol_is_known(monkeypatch):
     # stands in for an OpenBLAS build that exports none of the recognized names
-    monkeypatch.setattr(harness, "_THREAD_SYMBOLS", ("no_such_{}_num_threads",))
+    monkeypatch.setattr(_lapack, "_THREAD_SYMBOLS", ("no_such_{}_num_threads",))
     missed, openblas = _unrecognized_openblas()
     assert openblas and missed == openblas
 
@@ -318,8 +317,8 @@ def test_grid_at_any_workers_matches_single_threaded_blas(
     cfg = small_config(tmp_path, regularizers=["sparse"], max_iter=5, save_z=True)
     write_blob_files(tmp_path, n_per=50)  # over small_config's n = 8 files
     monkeypatch.setenv("SIMILEARN_WORKERS", "1")
-    with _single_threaded_blas(), monkeypatch.context() as m:  # pinned from outside
-        m.setattr(harness, "_single_threaded_blas", lambda: contextlib.nullcontext([]))
+    with single_threaded_blas(), monkeypatch.context() as m:  # pinned from outside
+        m.setattr(harness, "single_threaded_blas", lambda: contextlib.nullcontext([]))
         pinned = _grid_outputs(cfg)
     if workers is None:
         monkeypatch.delenv("SIMILEARN_WORKERS")

@@ -13,7 +13,9 @@ from scipy.linalg import LinAlgError, cho_factor, cho_solve
 
 from conftest import f2py_spd_solve, random_psd_kernel
 from test_acceptance import _pgd_reference
+from similearn import _lapack
 from similearn import solver as solver_module
+from similearn._lapack import solve_spd
 from similearn.errors import DivergenceError, LinearSolveError
 from similearn.graph import cluster
 from similearn.kernels import (
@@ -24,7 +26,6 @@ from similearn.kernels import (
 )
 from similearn.solver import (
     SolverConfig,
-    _solve_spd,
     diagnostics_dict,
     evaluate_objective,
     prox_l1,
@@ -328,7 +329,7 @@ def _bits(X):
 def test_solve_spd_is_bitwise_scipy_dpotrf_dtrsm(case):
     A, B, shift = case
     A0, B0 = A.copy(order="A"), B.copy(order="A")
-    X = _solve_spd(A, B, shift, "W update")
+    X = solve_spd(A, B, shift, "W update")
     assert _bits(X) == _bits(f2py_spd_solve(A + shift * np.eye(len(A)), B))
     assert _bits(A) == _bits(A0) and _bits(B) == _bits(B0)
 
@@ -341,17 +342,17 @@ import sys
 import numpy as np
 
 import similearn.cli
-from similearn import solver
+from similearn import _lapack, solver
 
 if sys.argv[1:] == ["reuse"]:
     import scipy.linalg
     from scipy.linalg import cython_blas, cython_lapack
 
-    assert (cython_blas, cython_lapack) == (solver.cython_blas, solver.cython_lapack)
-    assert sys.modules["scipy.linalg.cython_lapack"] is solver.cython_lapack
+    assert (cython_blas, cython_lapack) == (_lapack.cython_blas, _lapack.cython_lapack)
+    assert sys.modules["scipy.linalg.cython_lapack"] is _lapack.cython_lapack
     import scipy.linalg.cython_lapack
 
-    assert scipy.linalg.cython_lapack is solver.cython_lapack
+    assert scipy.linalg.cython_lapack is _lapack.cython_lapack
     assert scipy.linalg.eigh(np.eye(2))[0].tolist() == [1.0, 1.0]
 X = np.random.default_rng(0).standard_normal((30, 4))
 config = solver.SolverConfig(regularizer="low_rank", alpha=0.1, beta=0.1, max_iter=20)
@@ -375,7 +376,7 @@ def test_solve_spd_not_positive_definite_names_step_and_cond():
     A = np.diag([2.0, -1.0])  # shifted by -1: diag(1, -2), whose cond is 2
     msg = "H update: left-hand side is not positive definite (cond ~ 2.000e+00); increase mu"
     with pytest.raises(LinearSolveError, match=re.escape(msg)) as e:
-        _solve_spd(A, np.eye(2), -1.0, "H update")
+        solve_spd(A, np.eye(2), -1.0, "H update")
     assert e.value.cond == 2.0
 
 
@@ -383,25 +384,25 @@ def test_solve_spd_raises_on_an_illegal_argument(monkeypatch):
     def rejects_lda(uplo, n, a, lda, info):
         info.value = -4
 
-    monkeypatch.setattr(solver_module, "_DPOTRF", rejects_lda)
+    monkeypatch.setattr(_lapack, "_DPOTRF", rejects_lda)
     with pytest.raises(LinearSolveError, match="W update: dpotrf rejected its argument 4"):
-        _solve_spd(np.eye(3), np.eye(3), 1.0, "W update")
+        solve_spd(np.eye(3), np.eye(3), 1.0, "W update")
 
 
 def test_solve_spd_hands_dpotrf_no_non_finite_matrix(monkeypatch):
     def called(*args):
         raise AssertionError("dpotrf called")
 
-    monkeypatch.setattr(solver_module, "_DPOTRF", called)
+    monkeypatch.setattr(_lapack, "_DPOTRF", called)
     for A in (np.diag([1.0, np.inf]), np.diag([np.nan, 1.0])):
-        X = _solve_spd(A, np.ones((2, 3)), 1.0, "W update")
+        X = solve_spd(A, np.ones((2, 3)), 1.0, "W update")
         assert X.shape == (2, 3) and np.isnan(X).all()
 
 
 def test_solve_spd_rejects_shapes_that_do_not_form_a_system():
     for A, B in ((np.eye(3), np.eye(2)), (np.ones((3, 2)), np.eye(3)), (np.eye(3), np.ones(3))):
         with pytest.raises(ValueError, match="W update: cannot solve"):
-            _solve_spd(A, B, 1.0, "W update")
+            solve_spd(A, B, 1.0, "W update")
 
 
 def test_solve_spd_on_concurrent_threads_matches_serial_calls(rng):
@@ -409,13 +410,13 @@ def test_solve_spd_on_concurrent_threads_matches_serial_calls(rng):
     for n in (40, 60, 80, 100) * 2:
         M = rng.standard_normal((n, n))
         cases.append(((0.2 * M) @ M.T, rng.standard_normal((n, n)), 1.0))
-    serial = [_bits(_solve_spd(*case, "W update")) for case in cases]
+    serial = [_bits(solve_spd(*case, "W update")) for case in cases]
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
         with ThreadPoolExecutor(max_workers=4) as pool:
             for _ in range(5):
-                got = pool.map(lambda case: _bits(_solve_spd(*case, "W update")), cases)
+                got = pool.map(lambda case: _bits(solve_spd(*case, "W update")), cases)
                 assert list(got) == serial
     finally:
         sys.setswitchinterval(interval)

@@ -16,8 +16,8 @@ import numbers
 
 import numpy as np
 
-from .graph import build_graph, laplacian
 from ._lapack import solve_spd
+from .graph import build_graph, laplacian
 from .solver import require_number
 
 DEFAULT_REPEATS = 20

@@ -22,8 +22,7 @@ from pathlib import Path
 from . import __version__
 from .errors import DivergenceError, LinearSolveError
 from .graph import cluster, require_square
-from .harness import dense_labels, load_dataset, read_sample_labels, run_benchmark
-from .io import read_labels, read_matrix, write_json, write_matrix
+from .io import dense_labels, load_dataset, read_labels, read_matrix, write_json, write_matrix
 from .kernels import BANKS, build_kernel_bank
 from .metrics import accuracy, nmi
 from .semisupervised import DEFAULT_GAMMA, DEFAULT_REPEATS, ssl_experiment
@@ -119,7 +118,7 @@ def _cmd_ssl(args):
 def _read_labels_of(Z, labels_path):
     """The labels in labels_path, checked to be one per row of a square Z."""
     require_square(Z)
-    return read_sample_labels(labels_path, Z.shape[0])
+    return read_labels(labels_path, Z.shape[0])
 
 
 def _cmd_eval(args):
@@ -130,6 +129,8 @@ def _cmd_eval(args):
 
 
 def _cmd_benchmark(args):
+    from .harness import run_benchmark  # the grid runner loads only with the command that runs it
+
     csv_path, manifest_path = run_benchmark(args.config)
     print(f"wrote {csv_path} and {manifest_path}")
     return 0

@@ -1,4 +1,4 @@
-"""Experiment harness: dataset loading, grid execution, persistence.
+"""Experiment harness: config schema, grid execution, summary rows, persistence.
 
 A benchmark run walks kernel x regularizer x hyperparameter cells,
 learns Z once per cell, evaluates clustering or label propagation, and
@@ -25,7 +25,6 @@ import numbers
 import os
 import platform
 import time
-import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
@@ -37,7 +36,7 @@ import scipy
 from . import __version__
 from ._lapack import single_threaded_blas
 from .graph import cluster
-from .io import read_json, read_labels, read_matrix, write_json, write_matrix
+from .io import load_dataset, read_json, write_json, write_matrix
 from .kernels import bank_specs, compute_kernel, normalize_kernel
 from .metrics import accuracy, nmi
 from .semisupervised import DEFAULT_GAMMA, DEFAULT_REPEATS, check_protocol, ssl_experiment
@@ -162,40 +161,6 @@ def load_experiment_config(path) -> ExperimentConfig:
         return ExperimentConfig(**raw).validate()
     except ValueError as e:
         raise ValueError(f"{path}: {e}") from None
-
-
-def load_dataset(path, labels_path=None):
-    """(X, labels, c): the n x m features, one sample per row, and their labels.
-
-    Labels with gaps in their id range are relabeled densely to 0..c-1
-    with a warning; features and labels must agree on sample count.
-    Without labels_path, labels and c are None.
-    """
-    X = read_matrix(path)
-    if X.shape[0] < 2:
-        raise ValueError(f"{path}: need at least 2 samples, got {X.shape[0]}")
-    if labels_path is None:
-        return X, None, None
-    return (X, *dense_labels(read_sample_labels(labels_path, X.shape[0])))
-
-
-def read_sample_labels(labels_path, n):
-    """The labels in labels_path; ValueError naming the file unless there are n."""
-    labels = read_labels(labels_path)
-    if labels.shape[0] != n:
-        raise ValueError(
-            f"{labels_path}: label count {labels.shape[0]} does not match sample count {n}"
-        )
-    return labels
-
-
-def dense_labels(labels):
-    """(labels relabeled to 0..c-1, c); warns when the ids had gaps."""
-    uniq, dense = np.unique(labels, return_inverse=True)
-    c = uniq.size
-    if not np.array_equal(uniq, np.arange(c)):
-        warnings.warn(f"labels {uniq.tolist()} are not dense 0..{c - 1}; relabeling")
-    return dense, c
 
 
 def _summarize(cells):

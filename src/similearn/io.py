@@ -1,14 +1,16 @@
-"""CSV and JSON file handling.
+"""CSV and JSON file handling, and the checks every input file passes.
 
 Matrices travel as plain CSV with no header, one row per line, floats
 written with enough digits to round-trip exactly. Labels are a
 single-column CSV of integers. Parse errors always carry the offending
-line number.
+line number. A dataset is a features CSV of at least 2 samples and,
+optionally, one label per sample, relabeled densely to 0..c-1.
 """
 
 import contextlib
 import csv
 import json
+import warnings
 from itertools import islice
 
 import numpy as np
@@ -105,8 +107,11 @@ def write_matrix(path, M):
                 f.write((template % tuple(row.tolist())).encode())
 
 
-def read_labels(path) -> np.ndarray:
-    """Read a single-column CSV of integer class ids below 2**53 in magnitude."""
+def read_labels(path, n=None) -> np.ndarray:
+    """Read a single-column CSV of integer class ids below 2**53 in magnitude.
+
+    With n given, ValueError naming the file unless it holds n labels.
+    """
     M = read_matrix(path)
     if M.shape[1] != 1:
         raise DataFormatError(f"{path}: labels must be a single column")
@@ -118,11 +123,39 @@ def read_labels(path) -> np.ndarray:
             line, _ = next(islice(_records(f, path), int(bad[0]), None))
         what = "non-integer label" if abs(vals[bad[0]]) < 2.0**53 else "label of magnitude >= 2**53"
         raise DataFormatError(f"{path}: {what} on line {line}", line=line)
+    if n is not None and vals.shape[0] != n:
+        raise ValueError(f"{path}: label count {vals.shape[0]} does not match sample count {n}")
     return vals.astype(int)
 
 
 def write_labels(path, labels):
-    np.savetxt(path, np.asarray(labels, dtype=int).reshape(-1, 1), fmt="%d")
+    """Write one ``%d`` line per label as np.savetxt does, but plain text at a .gz path too."""
+    with open(path, "w") as f:
+        f.writelines(f"{v:d}\n" for v in np.asarray(labels, dtype=int).ravel().tolist())
+
+
+def load_dataset(path, labels_path=None):
+    """(X, labels, c): the n x m features, one sample per row, and their labels.
+
+    Labels with gaps in their id range are relabeled densely to 0..c-1
+    with a warning; features and labels must agree on sample count.
+    Without labels_path, labels and c are None.
+    """
+    X = read_matrix(path)
+    if X.shape[0] < 2:
+        raise ValueError(f"{path}: need at least 2 samples, got {X.shape[0]}")
+    if labels_path is None:
+        return X, None, None
+    return (X, *dense_labels(read_labels(labels_path, X.shape[0])))
+
+
+def dense_labels(labels):
+    """(labels relabeled to 0..c-1, c); warns when the ids had gaps."""
+    uniq, dense = np.unique(labels, return_inverse=True)
+    c = uniq.size
+    if not np.array_equal(uniq, np.arange(c)):
+        warnings.warn(f"labels {uniq.tolist()} are not dense 0..{c - 1}; relabeling")
+    return dense, c
 
 
 def read_json(path):

@@ -277,7 +277,7 @@ def test_criterion_8_external_datasets():
     if not data_dir:
         print("criterion 8: SKIP - SIMILEARN_DATA_DIR not set (optional, dataset-gated)")
         pytest.skip("external datasets not supplied")
-    from similearn.harness import load_dataset
+    from similearn.io import load_dataset
 
     checks = []
     yale = Path(data_dir) / "yale.csv"

@@ -444,19 +444,22 @@ sys.meta_path.insert(0, Recorder())
 import similearn.cli
 
 
-def loaded():
-    return sorted(m for m in sys.modules if m.startswith(FORBIDDEN))
+# (forbidden modules loaded, forbidden imports attempted, grid runner loaded)
+def state():
+    loaded = sorted(m for m in sys.modules if m.startswith(FORBIDDEN))
+    return loaded, attempted, "similearn.harness" in sys.modules
 
 
-assert (loaded(), attempted) == ([], []), (loaded(), attempted)
+assert state() == ([], [], False), state()
 for argv in sys.argv[1:]:
     assert similearn.cli.main(json.loads(argv)) == 0, argv
-    assert (loaded(), attempted) == ([], []), (argv, loaded(), attempted)
+    assert state() == ([], [], json.loads(argv)[0] == "benchmark"), (argv, state())
 print("ok")
 """
 
 
 def test_no_command_loads_scipy_optimize_spatial_or_linalg(tmp_path):
+    """Nor does any command but benchmark, which runs last, load the grid runner."""
     X, y = two_blobs(n_per=4)
     fp, lp, pred = tmp_path / "feats.csv", tmp_path / "labels.csv", tmp_path / "pred.csv"
     write_matrix(fp, X)

@@ -25,14 +25,13 @@ from similearn.harness import (
     CSV_COLUMNS,
     MEAN_KERNEL,
     ExperimentConfig,
-    load_dataset,
     load_experiment_config,
     persist_results,
     rows_to_csv,
     run_benchmark,
     run_experiment,
 )
-from similearn.io import read_matrix, write_labels, write_matrix
+from similearn.io import load_dataset, read_matrix, write_labels, write_matrix
 from similearn.kernels import bank_specs, compute_kernel, normalize_kernel
 from similearn.metrics import accuracy
 from similearn.solver import evaluate_objective
@@ -380,7 +379,7 @@ def test_default_workers_fall_back_to_cpu_count(tmp_path, monkeypatch):
     assert info["workers"] == info["cpus"] == 5
 
 
-def test_grid_cells_skip_the_objective_trace(tmp_path, monkeypatch):
+def test_each_grid_cell_evaluates_the_objective_once(tmp_path, monkeypatch):
     """Each solved cell evaluates the objective once, and its row reports that value."""
     real, calls = solver.evaluate_objective, []
 
@@ -624,7 +623,7 @@ def test_manifest_records_workers_and_blas_threads(tmp_path, monkeypatch, blas_a
 
 # runs the grid on worker threads in a fresh interpreter, which loads neither
 # scipy.optimize nor scipy.spatial before, during or after it
-DEFERRED_IMPORT_PROBE = """
+FRESH_INTERPRETER_GRID_PROBE = """
 import sys
 from similearn.harness import run_benchmark
 
@@ -637,7 +636,7 @@ assert loaded() == [False, False], loaded()
 """
 
 
-def test_grid_with_first_imports_on_worker_threads_matches_in_process(tmp_path, monkeypatch):
+def test_grid_on_worker_threads_of_a_fresh_interpreter_matches_in_process(tmp_path, monkeypatch):
     import scipy.optimize  # noqa: F401  # in this process both modules are loaded
     import scipy.spatial.distance  # noqa: F401
 
@@ -651,7 +650,7 @@ def test_grid_with_first_imports_on_worker_threads_matches_in_process(tmp_path, 
         paths[side].write_text(json.dumps(cfg))
     src = Path(harness.__file__).resolve().parents[1]
     out = subprocess.run(
-        [sys.executable, "-c", DEFERRED_IMPORT_PROBE, str(paths["fresh"])],
+        [sys.executable, "-c", FRESH_INTERPRETER_GRID_PROBE, str(paths["fresh"])],
         env=dict(os.environ, PYTHONPATH=str(src)), capture_output=True, text=True,
     )
     assert (out.returncode, out.stderr) == (0, "")

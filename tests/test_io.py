@@ -1,4 +1,5 @@
 import csv
+import re
 import tracemalloc
 
 import numpy as np
@@ -292,6 +293,33 @@ def test_labels_roundtrip(tmp_path):
     p = tmp_path / "y.csv"
     write_labels(p, [0, 2, 1, 1])
     assert np.array_equal(read_labels(p), [0, 2, 1, 1])
+
+
+@pytest.mark.parametrize("labels", [[0, 2, 1, 1], [-3, 2**53 - 1], [7], []])
+def test_write_labels_matches_savetxt(tmp_path, labels):
+    write_labels(tmp_path / "got.csv", labels)
+    np.savetxt(tmp_path / "want.csv", np.asarray(labels, dtype=int).reshape(-1, 1), fmt="%d")
+    assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
+
+
+def test_labels_roundtrip_at_a_gz_path(tmp_path):
+    """A .gz path holds the same plain text, which read_labels reads back."""
+    p = tmp_path / "y.csv.gz"
+    write_labels(p, [0, 1, 1])
+    assert p.read_bytes() == b"0\n1\n1\n"
+    assert read_labels(p).tolist() == [0, 1, 1]
+
+
+def test_labels_count_checked_after_the_integer_checks(tmp_path):
+    p = tmp_path / "y.csv"
+    p.write_text("0\n1.5\n")
+    with pytest.raises(DataFormatError, match="non-integer label on line 2"):
+        read_labels(p, 3)
+    p.write_text("0\n1\n")
+    with pytest.raises(ValueError, match=f"^{re.escape(str(p))}: label count 2 does not match "
+                                          "sample count 3$"):
+        read_labels(p, 3)
+    assert read_labels(p, 2).tolist() == [0, 1]
 
 
 def test_labels_must_be_single_column(tmp_path):
